@@ -9,20 +9,20 @@ guarantee at small scale.
 """
 
 from .data import Dataset, ParseError, SingleClassError, StandardizationReport, Task, parse_csv, parse_libsvm, serialize_libsvm, standardize, synth
-from .losses import DomainError, LossKind, LossSpec, conjugate_neg, dual_from_margin, feasibility_q, loss_derivative, loss_value, nu_constant
+from .losses import DomainError, LossKind, conjugate_neg, dual_from_margin, feasibility_q, loss_derivative, loss_value, nu_constant
 from .oracle import VerificationOutcome, brute_force_max, brute_force_v, verify_no_false_elimination
-from .screening import ReferencePair, ScreeningReport, build_reference, dg_radius, dr_upper_bound, rho_vector, screen, ub_for_weight
+from .screening import ReferencePair, ScreeningReport, build_reference, dg_radius, rho_vector, screen, ub_for_weight
 from .solver import ConvergenceError, FitConfig, FittedModel, dual_objective, duality_gap, fit_weighted_erm, lambda_max, objective_scale, primal_objective, recover_dual
 from .uncertainty import WeightBox, contains, corner_count, delta_from_v, enumerate_corners, max_linear, max_linear_squared, sample_feasible, v_from_delta, worst_case_weights
 
 __all__ = [
     "Dataset", "ParseError", "SingleClassError", "StandardizationReport", "Task",
     "parse_csv", "parse_libsvm", "serialize_libsvm", "standardize", "synth",
-    "DomainError", "LossKind", "LossSpec", "conjugate_neg", "dual_from_margin",
+    "DomainError", "LossKind", "conjugate_neg", "dual_from_margin",
     "feasibility_q", "loss_derivative", "loss_value", "nu_constant",
     "VerificationOutcome", "brute_force_max", "brute_force_v", "verify_no_false_elimination",
     "ReferencePair", "ScreeningReport", "build_reference", "dg_radius",
-    "dr_upper_bound", "rho_vector", "screen", "ub_for_weight",
+    "rho_vector", "screen", "ub_for_weight",
     "ConvergenceError", "FitConfig", "FittedModel", "dual_objective", "duality_gap",
     "fit_weighted_erm", "lambda_max", "objective_scale", "primal_objective", "recover_dual",
     "WeightBox", "contains", "corner_count", "delta_from_v", "enumerate_corners",

@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +34,6 @@ GRID_COLUMNS = ("V", "delta", "lambda_ratio", "lambda",
 
 class ShiftOverflowError(ValueError):
     """Requested uncertainty maps to delta >= 1."""
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    v_values: tuple[float, ...] = DEFAULT_V_GRID
-    lambda_ratios: tuple[float, ...] = DEFAULT_LAMBDA_RATIOS
-    loss: LossKind = LossKind.SQUARED
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.v_values):
-            raise ValueError("V values must be >= 0")
-        if any(not 0.0 < r <= 1.0 for r in self.lambda_ratios):
-            raise ValueError("lambda ratios must lie in (0, 1]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +57,10 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
     group.add_argument("--lambda-ratio", type=float, default=None,
                        help="regularization as a multiple of lambda_max")
     group.add_argument("--lambda-absolute", type=float, default=None)
+    _add_tolerance_flags(p)
+
+
+def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gap-tol", type=float, default=None,
                    help="absolute duality-gap stopping tolerance")
     p.add_argument("--eq-tol", type=float, default=None)
@@ -101,11 +92,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grid", help="removed-ratio table over (V, lambda) grid, CSV")
     _add_common(p)
-    p.add_argument("--V-values", type=float, nargs="+", default=None, dest="v_values")
-    p.add_argument("--lambda-ratios", type=float, nargs="+", default=None)
-    p.add_argument("--gap-tol", type=float, default=None)
-    p.add_argument("--eq-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--V-values", type=float, nargs="+", default=DEFAULT_V_GRID,
+                   dest="v_values")
+    p.add_argument("--lambda-ratios", type=float, nargs="+", default=DEFAULT_LAMBDA_RATIOS)
+    _add_tolerance_flags(p)
 
     p = sub.add_parser("verify", help="brute-force check that no removal was false")
     _add_common(p)
@@ -145,7 +135,16 @@ def _load_weights(path: str | None, n: int) -> np.ndarray:
     if not os.path.exists(path):
         raise FileNotFoundError(f"weights file not found: {path}")
     with open(path, encoding="utf-8") as handle:
-        values = [float(tok) for tok in handle.read().split()]
+        tokens = handle.read().split()
+    values = []
+    for k, tok in enumerate(tokens, 1):
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"weights file {path}: entry {k} is not a finite number: {tok!r}")
+        values.append(value)
     w = np.array(values)
     if w.shape != (n,):
         raise ValueError(f"weights file has {w.size} entries, dataset has {n} instances")
@@ -178,17 +177,20 @@ def _resolve_lambda(args: argparse.Namespace, dataset: Dataset, weights: np.ndar
     return args.lambda_ratio * lambda_max(dataset, weights, kind)
 
 
-def _resolve_delta(args: argparse.Namespace, n: int) -> float:
+def _delta_for_v(v: float, n: int) -> float:
     try:
-        delta = getattr(args, "delta", None)
-        if delta is not None:
-            if not 0.0 <= delta < 1.0:
-                raise ShiftOverflowError(f"delta must be in [0, 1), got {delta}")
-            return delta
-        v = args.V if args.V is not None else 0.0
         return delta_from_v(v, n)
     except ValueError as exc:
         raise ShiftOverflowError(str(exc)) from None
+
+
+def _resolve_delta(args: argparse.Namespace, n: int) -> float:
+    delta = getattr(args, "delta", None)
+    if delta is None:
+        return _delta_for_v(args.V if args.V is not None else 0.0, n)
+    if not 0.0 <= delta < 1.0:
+        raise ShiftOverflowError(f"delta must be in [0, 1), got {delta}")
+    return delta
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -238,20 +240,20 @@ def _cmd_lambda_max(args: argparse.Namespace) -> int:
     return 0
 
 
-def _screen_once(dataset: Dataset, kind: LossKind, lam: float, delta: float,
-                 config: FitConfig):
-    model = fit_weighted_erm(dataset, np.ones(dataset.n), kind, lam, config)
-    box = WeightBox(n=dataset.n, delta=delta)
-    ref = build_reference(dataset, model, box)
-    return model, screen(dataset, ref, box)
-
-
-def _cmd_screen(args: argparse.Namespace) -> int:
+def _screen_once(args: argparse.Namespace):
+    """Load, resolve the shift and lambda, fit at w = 1 and screen; returns
+    (dataset, kind, model, report)."""
     dataset = _load_dataset(args)
     kind = _loss_kind(args)
     delta = _resolve_delta(args, dataset.n)
     lam = _resolve_lambda(args, dataset, np.ones(dataset.n), kind)
-    _, report = _screen_once(dataset, kind, lam, delta, _fit_config(args))
+    model = fit_weighted_erm(dataset, np.ones(dataset.n), kind, lam, _fit_config(args))
+    box = WeightBox(n=dataset.n, delta=delta)
+    return dataset, kind, model, screen(dataset, build_reference(dataset, model, box), box)
+
+
+def _cmd_screen(args: argparse.Namespace) -> int:
+    _, _, _, report = _screen_once(args)
     if args.csv is not None:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(report.to_csv())
@@ -265,20 +267,16 @@ def _cmd_screen(args: argparse.Namespace) -> int:
 def _cmd_grid(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     kind = _loss_kind(args)
-    spec = GridSpec(
-        v_values=tuple(args.v_values) if args.v_values is not None else DEFAULT_V_GRID,
-        lambda_ratios=(tuple(args.lambda_ratios) if args.lambda_ratios is not None
-                       else DEFAULT_LAMBDA_RATIOS),
-        loss=kind,
-    )
+    if any(not 0.0 < r <= 1.0 for r in args.lambda_ratios):
+        raise ValueError("lambda ratios must lie in (0, 1]")
+    shifts = [(v, _delta_for_v(v, dataset.n)) for v in sorted(args.v_values)]
     config = _fit_config(args)
     lam_max = lambda_max(dataset, np.ones(dataset.n), kind)
     rows = []
-    for ratio in sorted(spec.lambda_ratios):
+    for ratio in sorted(args.lambda_ratios):
         lam = ratio * lam_max
         model = fit_weighted_erm(dataset, np.ones(dataset.n), kind, lam, config)
-        for v in sorted(spec.v_values):
-            delta = delta_from_v(v, dataset.n)
+        for v, delta in shifts:
             box = WeightBox(n=dataset.n, delta=delta)
             report = screen(dataset, build_reference(dataset, model, box), box)
             rows.append((v, delta, ratio, lam, int(np.sum(report.removed)),
@@ -295,11 +293,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    dataset = _load_dataset(args)
-    kind = _loss_kind(args)
-    delta = _resolve_delta(args, dataset.n)
-    lam = _resolve_lambda(args, dataset, np.ones(dataset.n), kind)
-    model, report = _screen_once(dataset, kind, lam, delta, _fit_config(args))
+    dataset, kind, model, report = _screen_once(args)
     if args.self_test:
         if model.support.size == 0:
             raise ValueError("--self-test needs at least one active feature; lower lambda")
@@ -307,9 +301,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         flipped = report.removed.copy()
         flipped[planted] = True
         report = dataclasses.replace(report, removed=flipped)
-    box = WeightBox(n=dataset.n, delta=delta)
     outcome = verify_no_false_elimination(
-        dataset, kind, lam, box, report, args.trials, _resolve_seed(args),
+        dataset, kind, model.lam, report.box, report, args.trials, _resolve_seed(args),
         reference_model=model,
     )
     _emit(outcome.to_json(), args.output)

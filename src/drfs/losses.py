@@ -9,7 +9,6 @@ feasibility constants are loss-specific and hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,17 +25,6 @@ class LossKind(Enum):
 
 
 _NU = {LossKind.SQUARED: 2.0, LossKind.LOGISTIC: 0.25}
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """A loss kind together with the Lipschitz constant of its derivative."""
-
-    kind: LossKind
-
-    @property
-    def nu(self) -> float:
-        return _NU[self.kind]
 
 
 def nu_constant(kind: LossKind) -> float:

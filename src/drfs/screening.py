@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
 from .solver import FittedModel, duality_gap
-from .uncertainty import WeightBox, contains, max_linear, v_from_delta, worst_case_weights
+from .uncertainty import WeightBox, _sorted_pairing, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
 # the feature, so floating-point equality never removes anything
@@ -95,14 +95,13 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
     q = feasibility_q(model.loss_kind, box.delta)
     margins = dataset.x @ model.b + model.b0
     losses = np.asarray(loss_value(model.loss_kind, dataset.y, margins))
+    alpha = np.array(model.alpha, copy=True)
     if model.loss_kind is LossKind.LOGISTIC:
-        p = dataset.y * model.alpha
-        if np.any(p < -_DOMAIN_SLACK) or np.any(p > 1.0 + _DOMAIN_SLACK):
-            raise ValueError("reference dual point leaves the logistic conjugate domain")
+        alpha = _into_logistic_domain(dataset.y, alpha, "reference dual point")
     return ReferencePair(
         b=np.array(model.b, copy=True),
         b0=float(model.b0),
-        alpha_star=np.array(model.alpha, copy=True),
+        alpha_star=alpha,
         q=q,
         lam=model.lam,
         delta=box.delta,
@@ -113,31 +112,40 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
     )
 
 
+def _into_logistic_domain(y: np.ndarray, alpha: np.ndarray, what: str) -> np.ndarray:
+    """alpha with y*alpha clipped into the logistic conjugate domain [0, 1].
+
+    Callers construct alpha so the true values lie inside the domain; only
+    rounding may push y*alpha past it, by at most _DOMAIN_SLACK.
+    """
+    p = y * alpha
+    if np.any(p < -_DOMAIN_SLACK) or np.any(p > 1.0 + _DOMAIN_SLACK):
+        bad = int(np.argmax(np.maximum(p - 1.0, -p)))
+        raise ValueError(
+            f"instance {bad}: {what} outside the logistic conjugate domain (y*alpha={p[bad]})"
+        )
+    return y * np.clip(p, 0.0, 1.0)
+
+
+def _ball_factor(nu: float, delta: float) -> float:
+    """2 nu / (1 - delta): squared gap-ball radius per unit of duality gap."""
+    return 2.0 * nu / (1.0 - delta)
+
+
 def dg_radius(gap: float, nu: float, delta: float) -> float:
     """Radius of the ball certain to contain the re-weighted dual optimum."""
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    return math.sqrt(2.0 * nu * gap / (1.0 - delta))
+    return math.sqrt(_ball_factor(nu, delta) * gap)
 
 
 def _conjugate_at_scaled(ref: ReferencePair, factor: float) -> np.ndarray:
-    """conj(y_i, -factor * alpha_i) with a floating-point domain guard.
-
-    The scaling factors are constructed so the true values stay inside the
-    conjugate domain; only rounding can push y*alpha marginally past 1.
-    """
+    """conj(y_i, -factor * alpha_i), guarded against rounding out of the domain."""
     alpha = factor * ref.alpha_star
     if ref.loss_kind is LossKind.LOGISTIC:
-        p = ref.y * alpha
-        if np.any(p < -_DOMAIN_SLACK) or np.any(p > 1.0 + _DOMAIN_SLACK):
-            bad = int(np.argmax(np.maximum(p - 1.0, -p)))
-            raise ValueError(
-                f"instance {bad}: scaled dual point outside the conjugate domain "
-                f"(y*alpha={p[bad]}); reference pair is inconsistent with this shift"
-            )
-        alpha = ref.y * np.clip(p, 0.0, 1.0)
+        alpha = _into_logistic_domain(ref.y, alpha, "scaled dual point")
     return np.asarray(conjugate_neg(ref.loss_kind, ref.y, alpha))
 
 
@@ -178,19 +186,9 @@ def _all_bounds(ref: ReferencePair, dataset: Dataset, box: WeightBox) -> tuple[n
     nu = nu_constant(ref.loss_kind)
     first = ref.q * np.abs(dataset.x.T @ ref.alpha_star)
     gbar = _gbar_max(ref, box)
-    wsq = worst_case_weights(box) ** 2
-    xsq_sorted = np.sort(dataset.x * dataset.x, axis=0)
-    nmax_sq = wsq @ xsq_sorted
-    root = np.sqrt(nmax_sq * (2.0 * nu / (1.0 - box.delta)) * gbar)
+    nmax_sq = _sorted_pairing(dataset.x * dataset.x, box, squared=True)
+    root = np.sqrt(nmax_sq * _ball_factor(nu, box.delta) * gbar)
     return first, first + root
-
-
-def dr_upper_bound(j: int, ref: ReferencePair, dataset: Dataset, box: WeightBox) -> float:
-    """The shift-robust bound for one feature; see screen() for all at once."""
-    if not 0 <= j < dataset.d:
-        raise IndexError(f"feature index {j} out of range for d={dataset.d}")
-    _, bounds = _all_bounds(ref, dataset, box)
-    return float(bounds[j])
 
 
 def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBox) -> float:
@@ -198,7 +196,7 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
 
     Uses the rescaled dual point q * alpha / w, whose feature correlations
     are weight-independent, and the duality gap actually attained at w.
-    Always dominated by dr_upper_bound over the box.
+    Always dominated by the screen() bound over the box.
     """
     if not 0 <= j < dataset.d:
         raise IndexError(f"feature index {j} out of range for d={dataset.d}")
@@ -208,14 +206,13 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
         raise ValueError("weight vector is not in the box")
     alpha_hat = ref.q * ref.alpha_star / w
     if ref.loss_kind is LossKind.LOGISTIC:
-        # true values are inside the domain by the choice of q; rounding only
-        alpha_hat = ref.y * np.clip(ref.y * alpha_hat, 0.0, 1.0)
+        alpha_hat = _into_logistic_domain(ref.y, alpha_hat, "rescaled dual point")
     gap = duality_gap(dataset, w, ref.loss_kind, ref.lam, ref.b, ref.b0, alpha_hat)
     col = dataset.x[:, j]
     first = abs(float(np.dot(w * alpha_hat, col)))
     nu = nu_constant(ref.loss_kind)
     norm_sq = float(np.dot(w * w, col * col))
-    return first + math.sqrt(norm_sq * (2.0 * nu / (1.0 - box.delta)) * gap)
+    return first + math.sqrt(norm_sq * _ball_factor(nu, box.delta) * gap)
 
 
 def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningReport:

@@ -19,6 +19,7 @@ import numpy as np
 from .losses import (
     DomainError,
     LossKind,
+    _sigmoid,
     conjugate_neg,
     dual_from_margin,
     loss_derivative,
@@ -49,7 +50,6 @@ class FitConfig:
     gap_tolerance: float | None = None
     eq_tolerance: float | None = None
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    rng_seed: int = 0  # reserved; the algorithm itself is deterministic
 
     def __post_init__(self) -> None:
         if self.gap_tolerance is not None and not self.gap_tolerance > 0:
@@ -189,10 +189,6 @@ def _intercept_squared(y: np.ndarray, t0: np.ndarray, w: np.ndarray, sw: float) 
     return float(np.dot(w, y - t0) / sw)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-
-
 _EQ_NEWTON_FLOOR = 64 * np.finfo(float).eps  # per unit of total weight
 
 
@@ -285,7 +281,13 @@ def fit_weighted_erm(
     f_curr = smooth(t0, b0)
     obj_curr = f_curr + lam * float(np.sum(np.abs(b)))
     best_gap = math.inf
-    best: tuple[np.ndarray, float, np.ndarray, float] | None = None
+    best: tuple[np.ndarray, float, np.ndarray] | None = None
+
+    def give_up(message: str) -> ConvergenceError:
+        assert best is not None  # the iteration-0 check always ran
+        model = FittedModel(b=best[0], b0=best[1], alpha=best[2], lam=lam, weights=w,
+                            gap=best_gap, loss_kind=kind, iterations=iterations)
+        return ConvergenceError(message, model)
 
     iterations = 0
     while True:
@@ -296,22 +298,15 @@ def fit_weighted_erm(
             eq_residual = abs(float(np.dot(w, alpha)))
             if gap < best_gap:
                 best_gap = gap
-                best = (b.copy(), b0, alpha, gap)
+                best = (b.copy(), b0, alpha)
             if gap <= gap_tol and eq_residual <= eq_tol:
                 return FittedModel(
                     b=b, b0=b0, alpha=alpha, lam=lam, weights=w, gap=gap,
                     loss_kind=kind, iterations=iterations,
                 )
             if iterations >= config.max_iterations:
-                assert best is not None
-                model = FittedModel(
-                    b=best[0], b0=best[1], alpha=best[2], lam=lam, weights=w,
-                    gap=best[3], loss_kind=kind, iterations=iterations,
-                )
-                raise ConvergenceError(
-                    f"gap {best[3]:.3e} > tolerance {gap_tol:.3e} "
-                    f"after {iterations} iterations", model,
-                )
+                raise give_up(f"gap {best_gap:.3e} > tolerance {gap_tol:.3e} "
+                              f"after {iterations} iterations")
 
         b0_v = intercept(t0_v, b0)
         margins_v = t0_v + b0_v
@@ -329,14 +324,7 @@ def fit_weighted_erm(
                 break
             lip *= 2.0
             if lip > 1e22 * l_min:
-                assert best is not None  # the iteration-0 check always ran
-                raise ConvergenceError(
-                    "backtracking failed to find a valid step",
-                    FittedModel(
-                        b=best[0], b0=best[1], alpha=best[2], lam=lam, weights=w,
-                        gap=best[3], loss_kind=kind, iterations=iterations,
-                    ),
-                )
+                raise give_up("backtracking failed to find a valid step")
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
         momentum = (tk - 1.0) / t_next

@@ -33,15 +33,20 @@ class WeightBox:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
+def _moving(n: int) -> int:
+    """Instances a worst-case corner moves off 1: all but the middle one of odd n."""
+    return 2 * (n // 2)
+
+
 def delta_from_v(v: float, n: int) -> float:
     """Per-instance bound delta realizing total-shift budget v = max ||w - 1||_1."""
-    if v < 0:
+    if not v >= 0:
         raise ValueError(f"V must be >= 0, got {v}")
     if v == 0:
         return 0.0
     if n < 2:
         raise ValueError("V > 0 is not representable with a single instance")
-    delta = v / n if n % 2 == 0 else v / (n - 1)
+    delta = v / _moving(n)
     if delta >= 1.0:
         raise ValueError(
             f"uncertainty level exceeds representable shift: V={v} needs delta={delta} >= 1"
@@ -51,9 +56,7 @@ def delta_from_v(v: float, n: int) -> float:
 
 def v_from_delta(box: WeightBox) -> float:
     """Total-shift budget max ||w - 1||_1 over the box."""
-    if box.n % 2 == 0:
-        return box.n * box.delta
-    return (box.n - 1) * box.delta
+    return _moving(box.n) * box.delta
 
 
 def worst_case_weights(box: WeightBox) -> np.ndarray:
@@ -61,37 +64,36 @@ def worst_case_weights(box: WeightBox) -> np.ndarray:
     n is odd, floor(n/2) highs."""
     n, delta = box.n, box.delta
     half = n // 2
-    w = np.empty(n)
+    w = np.ones(n)
     w[:half] = 1.0 - delta
     w[n - half:] = 1.0 + delta
-    if n % 2 == 1:
-        w[half] = 1.0
     return w
 
 
-def max_linear(c, box: WeightBox) -> float:
-    """max of c . w over the box, by the sorted pairing with the worst-case
-    corner."""
+def _sorted_pairing(c, box: WeightBox, squared: bool = False):
+    """max of c . w (or c . (w o w)) over the box, by pairing the sorted c with
+    the ascending worst-case corner; a matrix c is maximized column by column
+    in one matrix-vector product."""
     c = np.asarray(c, dtype=float)
-    if c.shape != (box.n,):
+    if c.shape[:1] != (box.n,) or c.ndim > 2:
         raise ValueError(f"expected {box.n} coefficients, got shape {c.shape}")
-    return float(np.dot(np.sort(c), worst_case_weights(box)))
+    corner = worst_case_weights(box)
+    return (corner**2 if squared else corner) @ np.sort(c, axis=0)
+
+
+def max_linear(c, box: WeightBox) -> float:
+    """max of c . w over the box."""
+    return float(_sorted_pairing(c, box))
 
 
 def max_linear_squared(c, box: WeightBox) -> float:
     """max of c . (w o w) over the box; intended for nonnegative c."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (box.n,):
-        raise ValueError(f"expected {box.n} coefficients, got shape {c.shape}")
-    return float(np.dot(np.sort(c), worst_case_weights(box) ** 2))
+    return float(_sorted_pairing(c, box, squared=True))
 
 
 def corner_count(box: WeightBox) -> int:
     half = box.n // 2
-    count = math.comb(box.n, half)
-    if box.n % 2 == 1:
-        count *= box.n - half
-    return count
+    return math.comb(box.n, half) * math.comb(box.n - half, box.n - _moving(box.n))
 
 
 def enumerate_corners(box: WeightBox, cap: int = CORNER_CAP) -> Iterator[np.ndarray]:
@@ -106,20 +108,14 @@ def enumerate_corners(box: WeightBox, cap: int = CORNER_CAP) -> Iterator[np.ndar
             f"corner enumeration capped at n={cap} ({corner_count(box)} corners for "
             f"n={n}); use sample_feasible instead"
         )
-    half = n // 2
     indices = range(n)
-    for lows in itertools.combinations(indices, half):
+    for lows in itertools.combinations(indices, n // 2):
         rest = [i for i in indices if i not in lows]
-        if n % 2 == 0:
+        for mids in itertools.combinations(rest, n - _moving(n)):
             w = np.full(n, 1.0 + delta)
             w[list(lows)] = 1.0 - delta
+            w[list(mids)] = 1.0
             yield w
-        else:
-            for mid in rest:
-                w = np.full(n, 1.0 + delta)
-                w[list(lows)] = 1.0 - delta
-                w[mid] = 1.0
-                yield w
 
 
 def sample_feasible(box: WeightBox, rng: np.random.Generator, mode: str = "corner") -> np.ndarray:

@@ -23,7 +23,6 @@ from drfs import (
     conjugate_neg,
     delta_from_v,
     dg_radius,
-    dr_upper_bound,
     dual_from_margin,
     dual_objective,
     duality_gap,

@@ -69,6 +69,26 @@ class TestSolve:
         assert payload["b"][0] == pytest.approx(0.975, abs=1e-8)
 
 
+class TestMalformedWeights:
+    @pytest.mark.parametrize("entry", ["abc", "inf", "nan"])
+    @pytest.mark.parametrize("command", [["solve", "--lambda-ratio", "0.5"], ["lambda-max"]])
+    def test_non_finite_entry_exit_1(self, command, entry, toy_file, tmp_path, capsys):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(f"1.0\n{entry}\n", encoding="utf-8")
+        code = main([command[0], toy_file, "--no-standardize", *command[1:],
+                     "--weights", str(wpath)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"entry 2 is not a finite number: '{entry}'" in captured.err
+
+    @pytest.mark.parametrize("entry", ["0.0", "-1"])
+    def test_non_positive_entry_exit_3(self, entry, toy_file, tmp_path):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text(f"1.0\n{entry}\n", encoding="utf-8")
+        assert main(["lambda-max", toy_file, "--weights", str(wpath)]) == 3
+
+
 class TestLambdaMax:
     def test_toy_value(self, toy_file, capsys):
         code = main(["lambda-max", toy_file, "--no-standardize"])
@@ -144,6 +164,14 @@ class TestGrid:
 
     def test_rejects_bad_ratio(self, reg_file):
         assert main(["grid", reg_file, "--lambda-ratios", "1.5"]) == 3
+
+
+@pytest.mark.parametrize("v", ["100", "-1", "nan"])
+@pytest.mark.parametrize("command", [["screen", "--lambda-ratio", "0.3", "--V"],
+                                     ["grid", "--V-values"]])
+def test_unrepresentable_shift_exit_4(command, v, reg_file, capsys):
+    assert main([command[0], reg_file, *command[1:], v]) == 4
+    assert "V" in capsys.readouterr().err
 
 
 class TestVerify:

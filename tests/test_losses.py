@@ -6,7 +6,6 @@ import pytest
 from drfs import (
     DomainError,
     LossKind,
-    LossSpec,
     conjugate_neg,
     dual_from_margin,
     feasibility_q,
@@ -148,8 +147,6 @@ class TestConstants:
     def test_nu(self):
         assert nu_constant(SQ) == 2.0
         assert nu_constant(LOG) == 0.25
-        assert LossSpec(SQ).nu == 2.0
-        assert LossSpec(LOG).nu == 0.25
 
     def test_feasibility_q(self):
         assert feasibility_q(SQ, 0.3) == 1.0

@@ -12,7 +12,6 @@ from drfs import (
     WeightBox,
     build_reference,
     dg_radius,
-    dr_upper_bound,
     dual_objective,
     duality_gap,
     fit_weighted_erm,
@@ -137,7 +136,7 @@ class TestUpperBounds:
         ref = build_reference(reg40, model, box)
         first = np.abs(reg40.x.T @ model.alpha)
         for j in range(reg40.d):
-            assert dr_upper_bound(j, ref, reg40, box) == pytest.approx(first[j], abs=1e-5)
+            assert screen(reg40, ref, box).bounds[j] == pytest.approx(first[j], abs=1e-5)
 
     def test_zero_column_always_removed(self):
         ds = Dataset(x=np.array([[1.0, 0.0], [-1.0, 0.0]]), y=np.array([1.0, -1.0]),
@@ -146,7 +145,7 @@ class TestUpperBounds:
         box = WeightBox(2, 0.4)
         ref = build_reference(ds, model, box)
         report = screen(ds, ref, box)
-        assert dr_upper_bound(1, ref, ds, box) == 0.0
+        assert screen(ds, ref, box).bounds[1] == 0.0
         assert report.removed[1]
 
     def test_matches_hand_formula(self, toy_1d):
@@ -155,14 +154,14 @@ class TestUpperBounds:
         delta = 0.5
         box = WeightBox(2, delta)
         ref = build_reference(toy_1d, model, box)
-        assert dr_upper_bound(0, ref, toy_1d, box) == pytest.approx(
+        assert screen(toy_1d, ref, box).bounds[0] == pytest.approx(
             _hand_bound(toy_1d, model, delta, lam, 0), rel=1e-12
         )
 
     def test_hand_formula_on_wider_problem(self, reg40):
         lam, model, box, ref, _ = screen_setup(reg40, SQ, 0.2, 1.0)
         for j in (0, 7, 14):
-            assert dr_upper_bound(j, ref, reg40, box) == pytest.approx(
+            assert screen(reg40, ref, box).bounds[j] == pytest.approx(
                 _hand_bound(reg40, model, box.delta, lam, j), rel=1e-12
             )
 
@@ -173,7 +172,7 @@ class TestUpperBounds:
         model = uniform_fit(toy_1d, SQ, lam)
         box = WeightBox(2, 0.5)
         ref = build_reference(toy_1d, model, box)
-        robust = dr_upper_bound(0, ref, toy_1d, box)
+        robust = screen(toy_1d, ref, box).bounds[0]
         for w in enumerate_corners(box):
             alpha_hat = ref.q * ref.alpha_star / w
             p = primal_objective(toy_1d, w, SQ, lam, ref.b, ref.b0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from drfs import (
     WeightBox,
@@ -13,6 +15,8 @@ from drfs import (
     v_from_delta,
     worst_case_weights,
 )
+from drfs.oracle import brute_force_max
+from drfs.uncertainty import _sorted_pairing
 
 
 class TestConversions:
@@ -186,3 +190,22 @@ class TestContains:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             contains(WeightBox(3, 0.1), np.ones(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_matrix_pairing_matches_corner_enumeration_per_column(data):
+    """The one-product matrix path agrees with exhaustive corners, column by column."""
+    n = data.draw(st.integers(1, 8), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    c = data.draw(arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0)), label="c")
+    box = WeightBox(n, data.draw(st.floats(0.0, 1.0, exclude_max=True), label="delta"))
+    linear = _sorted_pairing(c, box)
+    squared = _sorted_pairing(np.abs(c), box, squared=True)
+    assert linear.shape == squared.shape == (d,)
+    for j in range(d):
+        tol = 1e-12 * (1.0 + float(np.sum(np.abs(c[:, j]))))
+        assert linear[j] == pytest.approx(brute_force_max(c[:, j], box), abs=tol)
+        assert squared[j] == pytest.approx(
+            brute_force_max(np.abs(c[:, j]), box, squared=True), abs=4 * tol
+        )
