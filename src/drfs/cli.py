@@ -22,7 +22,8 @@ from .data import Dataset, ParseError, SingleClassError, Task, parse_csv, parse_
 from .losses import LossKind
 from .oracle import verify_no_false_elimination
 from .screening import build_reference, screen
-from .solver import ConvergenceError, FitConfig, FittedModel, fit_weighted_erm, lambda_max
+from .solver import (DEFAULT_MAX_ITERATIONS, ConvergenceError, FitConfig, FittedModel,
+                     fit_weighted_erm, lambda_max)
 from .uncertainty import WeightBox, delta_from_v
 
 DEFAULT_V_GRID = (0.0,) + tuple(10.0 ** (k / 2.0) for k in range(-10, 1))
@@ -63,8 +64,7 @@ def _add_fit_flags(p: argparse.ArgumentParser) -> None:
 def _add_tolerance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gap-tol", type=float, default=None,
                    help="absolute duality-gap stopping tolerance")
-    p.add_argument("--eq-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
 
 
 def build_parser() -> _Parser:
@@ -156,14 +156,7 @@ def _loss_kind(args: argparse.Namespace) -> LossKind:
 
 
 def _fit_config(args: argparse.Namespace) -> FitConfig:
-    kwargs = {}
-    if getattr(args, "gap_tol", None) is not None:
-        kwargs["gap_tolerance"] = args.gap_tol
-    if getattr(args, "eq_tol", None) is not None:
-        kwargs["eq_tolerance"] = args.eq_tol
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iterations"] = args.max_iter
-    return FitConfig(**kwargs)
+    return FitConfig(gap_tolerance=args.gap_tol, max_iterations=args.max_iter)
 
 
 def _resolve_lambda(args: argparse.Namespace, dataset: Dataset, weights: np.ndarray,
@@ -191,12 +184,6 @@ def _resolve_delta(args: argparse.Namespace, n: int) -> float:
     if not 0.0 <= delta < 1.0:
         raise ShiftOverflowError(f"delta must be in [0, 1), got {delta}")
     return delta
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("DRFS_SEED", "0"))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -301,9 +288,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         flipped = report.removed.copy()
         flipped[planted] = True
         report = dataclasses.replace(report, removed=flipped)
+    seed = args.seed if args.seed is not None else int(os.environ.get("DRFS_SEED", "0"))
     outcome = verify_no_false_elimination(
-        dataset, kind, model.lam, report.box, report, args.trials, _resolve_seed(args),
-        reference_model=model,
+        dataset, kind, model.lam, report.box, report, args.trials, seed, reference_model=model,
     )
     _emit(outcome.to_json(), args.output)
     if outcome.violations:

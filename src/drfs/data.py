@@ -9,6 +9,7 @@ standardization densifies columns anyway.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable
@@ -127,6 +128,8 @@ def parse_libsvm(source: str | IO[str], task: Task = Task.REGRESSION) -> Dataset
                 raise ParseError(f"non-increasing feature index {idx}", lineno)
             prev = idx
             entries.append((idx, val))
+        if not all(map(math.isfinite, [label, *(val for _, val in entries)])):
+            raise ParseError("non-finite label or feature value", lineno)
         d = max(d, prev)
         labels.append(label)
         rows.append(entries)
@@ -185,6 +188,8 @@ def parse_csv(
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise ParseError(f"non-numeric cell ({exc})", lineno) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError("non-finite cell", lineno)
     if not rows:
         raise ParseError("empty dataset")
     assert width is not None

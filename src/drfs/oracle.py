@@ -72,15 +72,15 @@ def verify_no_false_elimination(
     trials: int,
     seed: int,
     *,
-    activity_threshold: float = ACTIVITY_THRESHOLD,
+    reference_model: FittedModel,
     max_iterations: int = 200_000,
-    reference_model: FittedModel | None = None,
 ) -> VerificationOutcome:
     """Re-solve at many admissible weights and flag removed-but-active features.
 
-    A trial whose solve does not converge is counted as inconclusive, never
-    as a pass.  Corners come first: the bounds are maximized there, so they
-    are the likeliest falsifiers.
+    Every re-solve is warm-started from reference_model, the w = 1 fit the
+    report was screened from.  A trial whose solve does not converge is
+    counted as inconclusive, never as a pass.  Corners come first: the
+    bounds are maximized there, so they are the likeliest falsifiers.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -107,13 +107,7 @@ def verify_no_false_elimination(
 
     gap_tol = RESOLVE_GAP_SCALE * objective_scale(dataset, np.ones(dataset.n), kind)
     config = FitConfig(gap_tolerance=gap_tol, max_iterations=max_iterations)
-    warm = reference_model
-    if warm is None:
-        try:
-            warm = fit_weighted_erm(dataset, np.ones(dataset.n), kind, lam, config)
-        except ConvergenceError as exc:
-            warm = exc.model
-    warm_start = (warm.b, warm.b0)
+    warm_start = (reference_model.b, reference_model.b0)
 
     removed_idx = np.nonzero(report.removed)[0]
     outcome = VerificationOutcome(
@@ -130,9 +124,9 @@ def verify_no_false_elimination(
         coefs = np.abs(model.b[removed_idx])
         peak = float(np.max(coefs))
         outcome.max_coefficient_on_removed = max(outcome.max_coefficient_on_removed, peak)
-        if peak > activity_threshold:
+        if peak > ACTIVITY_THRESHOLD:
             h = _weight_hash(w)
-            for k in np.nonzero(coefs > activity_threshold)[0]:
+            for k in np.nonzero(coefs > ACTIVITY_THRESHOLD)[0]:
                 outcome.violations.append((h, int(removed_idx[k]), float(coefs[k])))
     return outcome
 

@@ -95,9 +95,8 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
     q = feasibility_q(model.loss_kind, box.delta)
     margins = dataset.x @ model.b + model.b0
     losses = np.asarray(loss_value(model.loss_kind, dataset.y, margins))
-    alpha = np.array(model.alpha, copy=True)
-    if model.loss_kind is LossKind.LOGISTIC:
-        alpha = _into_logistic_domain(dataset.y, alpha, "reference dual point")
+    alpha = _into_domain(model.loss_kind, dataset.y, np.array(model.alpha, copy=True),
+                         "reference dual point")
     return ReferencePair(
         b=np.array(model.b, copy=True),
         b0=float(model.b0),
@@ -112,12 +111,16 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
     )
 
 
-def _into_logistic_domain(y: np.ndarray, alpha: np.ndarray, what: str) -> np.ndarray:
-    """alpha with y*alpha clipped into the logistic conjugate domain [0, 1].
+def _into_domain(kind: LossKind, y: np.ndarray, alpha: np.ndarray, what: str) -> np.ndarray:
+    """alpha moved into the conjugate domain of the loss: unchanged for the
+    squared loss (its domain is all of R), y*alpha clipped into [0, 1] for
+    the logistic loss.
 
     Callers construct alpha so the true values lie inside the domain; only
     rounding may push y*alpha past it, by at most _DOMAIN_SLACK.
     """
+    if kind is LossKind.SQUARED:
+        return alpha
     p = y * alpha
     if np.any(p < -_DOMAIN_SLACK) or np.any(p > 1.0 + _DOMAIN_SLACK):
         bad = int(np.argmax(np.maximum(p - 1.0, -p)))
@@ -143,31 +146,19 @@ def dg_radius(gap: float, nu: float, delta: float) -> float:
 
 def _conjugate_at_scaled(ref: ReferencePair, factor: float) -> np.ndarray:
     """conj(y_i, -factor * alpha_i), guarded against rounding out of the domain."""
-    alpha = factor * ref.alpha_star
-    if ref.loss_kind is LossKind.LOGISTIC:
-        alpha = _into_logistic_domain(ref.y, alpha, "scaled dual point")
+    alpha = _into_domain(ref.loss_kind, ref.y, factor * ref.alpha_star, "scaled dual point")
     return np.asarray(conjugate_neg(ref.loss_kind, ref.y, alpha))
 
 
-def rho_vector(ref: ReferencePair, delta: float) -> np.ndarray:
-    """Per-instance worst-case gap contribution over the weight range.
+def rho_vector(ref: ReferencePair) -> np.ndarray:
+    """Per-instance worst-case gap contribution over the reference's weight range.
 
     rho_i = loss_i + max of the conjugate at the two extreme reweightings
     q/(1+delta) and q/(1-delta); convexity puts the maximum at an endpoint.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must be in [0, 1), got {delta}")
-    lo = _conjugate_at_scaled(ref, ref.q / (1.0 + delta))
-    hi = _conjugate_at_scaled(ref, ref.q / (1.0 - delta))
+    lo = _conjugate_at_scaled(ref, ref.q / (1.0 + ref.delta))
+    hi = _conjugate_at_scaled(ref, ref.q / (1.0 - ref.delta))
     return ref.losses_at_optimum + np.maximum(lo, hi)
-
-
-def _gbar_max(ref: ReferencePair, box: WeightBox) -> float:
-    """Worst-case duality gap over the box: sorted-rho maximization plus the
-    regularizer term, clamped at zero against rounding."""
-    rho = rho_vector(ref, box.delta)
-    raw = max_linear(rho, box) + ref.lam * float(np.sum(np.abs(ref.b)))
-    return max(0.0, raw)
 
 
 def _check_box(ref: ReferencePair, box: WeightBox, n: int) -> None:
@@ -177,18 +168,6 @@ def _check_box(ref: ReferencePair, box: WeightBox, n: int) -> None:
         raise ValueError(
             f"reference was built for delta={ref.delta}, screening box has delta={box.delta}"
         )
-
-
-def _all_bounds(ref: ReferencePair, dataset: Dataset, box: WeightBox) -> tuple[np.ndarray, np.ndarray]:
-    _check_box(ref, box, dataset.n)
-    if ref.alpha_star.shape != (dataset.n,):
-        raise ValueError("reference and dataset disagree on the number of instances")
-    nu = nu_constant(ref.loss_kind)
-    first = ref.q * np.abs(dataset.x.T @ ref.alpha_star)
-    gbar = _gbar_max(ref, box)
-    nmax_sq = _sorted_pairing(dataset.x * dataset.x, box, squared=True)
-    root = np.sqrt(nmax_sq * _ball_factor(nu, box.delta) * gbar)
-    return first, first + root
 
 
 def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBox) -> float:
@@ -204,9 +183,8 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
     w = np.asarray(w, dtype=float)
     if not contains(box, w):
         raise ValueError("weight vector is not in the box")
-    alpha_hat = ref.q * ref.alpha_star / w
-    if ref.loss_kind is LossKind.LOGISTIC:
-        alpha_hat = _into_logistic_domain(ref.y, alpha_hat, "rescaled dual point")
+    alpha_hat = _into_domain(ref.loss_kind, ref.y, ref.q * ref.alpha_star / w,
+                             "rescaled dual point")
     gap = duality_gap(dataset, w, ref.loss_kind, ref.lam, ref.b, ref.b0, alpha_hat)
     col = dataset.x[:, j]
     first = abs(float(np.dot(w * alpha_hat, col)))
@@ -230,8 +208,17 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
     what realizes "all features removed at lambda_max" despite the exact
     floating-point tie at the argmax feature.
     """
-    first, bounds = _all_bounds(ref, dataset, box)
+    _check_box(ref, box, dataset.n)
+    if ref.alpha_star.shape != (dataset.n,):
+        raise ValueError("reference and dataset disagree on the number of instances")
+    nu = nu_constant(ref.loss_kind)
     lam = ref.lam
+    first = ref.q * np.abs(dataset.x.T @ ref.alpha_star)
+    # worst-case duality gap over the box: sorted-rho maximization plus the
+    # regularizer term, clamped at zero against rounding
+    gbar = max(0.0, max_linear(rho_vector(ref), box) + lam * float(np.sum(np.abs(ref.b))))
+    nmax_sq = _sorted_pairing(dataset.x * dataset.x, box, squared=True)
+    bounds = first + np.sqrt(nmax_sq * _ball_factor(nu, box.delta) * gbar)
     if box.delta == 0.0 and not np.any(ref.b):
         removed = first <= lam * (1.0 + ZERO_REFERENCE_BAND)
     else:
@@ -243,5 +230,5 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
         box=box,
         gap_at_reference=ref.gap,
         q=ref.q,
-        nu=nu_constant(ref.loss_kind),
+        nu=nu,
     )

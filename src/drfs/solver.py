@@ -44,18 +44,16 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Stopping rules.  None tolerances resolve against the problem scale:
-    gap 1e-9 * max(1, P(zero model)), equality 1e-10 * n."""
+    """Stopping rules.  A None gap tolerance resolves against the problem
+    scale, 1e-9 * max(1, P(zero model)); the dual equality tolerance is
+    always 1e-10 * n."""
 
     gap_tolerance: float | None = None
-    eq_tolerance: float | None = None
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self) -> None:
         if self.gap_tolerance is not None and not self.gap_tolerance > 0:
             raise ValueError("gap_tolerance must be > 0")
-        if self.eq_tolerance is not None and not self.eq_tolerance > 0:
-            raise ValueError("eq_tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -185,10 +183,6 @@ def _soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
-def _intercept_squared(y: np.ndarray, t0: np.ndarray, w: np.ndarray, sw: float) -> float:
-    return float(np.dot(w, y - t0) / sw)
-
-
 _EQ_NEWTON_FLOOR = 64 * np.finfo(float).eps  # per unit of total weight
 
 
@@ -252,11 +246,11 @@ def fit_weighted_erm(
 
     scale = objective_scale(dataset, w, kind)
     gap_tol = config.gap_tolerance if config.gap_tolerance is not None else DEFAULT_GAP_SCALE * scale
-    eq_tol = config.eq_tolerance if config.eq_tolerance is not None else DEFAULT_EQ_PER_ROW * n
+    eq_tol = DEFAULT_EQ_PER_ROW * n
 
     def intercept(t0: np.ndarray, b0_init: float) -> float:
         if kind is LossKind.SQUARED:
-            return _intercept_squared(y, t0, w, sw)
+            return float(np.dot(w, y - t0) / sw)
         return _intercept_logistic(y, t0, w, b0_init, eq_tol, sw)
 
     def smooth(t0: np.ndarray, b0: float) -> float:

@@ -96,16 +96,16 @@ def corner_count(box: WeightBox) -> int:
     return math.comb(box.n, half) * math.comb(box.n - half, box.n - _moving(box.n))
 
 
-def enumerate_corners(box: WeightBox, cap: int = CORNER_CAP) -> Iterator[np.ndarray]:
+def enumerate_corners(box: WeightBox) -> Iterator[np.ndarray]:
     """Yield every extreme point of the box exactly once.
 
     Combinatorial: C(n, n/2) corners for even n, C(n, (n-1)/2) * (n+1)/2 for
-    odd n, so enumeration is refused above `cap` instances.
+    odd n, so enumeration is refused above CORNER_CAP instances.
     """
     n, delta = box.n, box.delta
-    if n > cap:
+    if n > CORNER_CAP:
         raise ValueError(
-            f"corner enumeration capped at n={cap} ({corner_count(box)} corners for "
+            f"corner enumeration capped at n={CORNER_CAP} ({corner_count(box)} corners for "
             f"n={n}); use sample_feasible instead"
         )
     indices = range(n)

@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drfs import Task, serialize_libsvm, synth
-from drfs.cli import main
+from drfs.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +92,30 @@ class TestMalformedWeights:
         wpath = tmp_path / "w.txt"
         wpath.write_text(f"1.0\n{entry}\n", encoding="utf-8")
         assert main(["lambda-max", toy_file, "--weights", str(wpath)]) == 3
+
+    def test_wrong_length_exit_3(self, toy_file, tmp_path, capsys):
+        wpath = tmp_path / "w.txt"
+        wpath.write_text("1.0\n1.0\n1.0\n", encoding="utf-8")
+        assert main(["lambda-max", toy_file, "--weights", str(wpath)]) == 3
+        assert "3 entries" in capsys.readouterr().err
+
+    def test_missing_file_exit_1(self, toy_file, tmp_path, capsys):
+        wpath = str(tmp_path / "absent.txt")
+        assert main(["lambda-max", toy_file, "--weights", wpath]) == 1
+        assert wpath in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("suffix", [".libsvm", ".csv"])
+def test_non_finite_data_value_exit_1(suffix, value, tmp_path, capsys):
+    rows = {".libsvm": ["1 1:1 2:2", "1 1:3 2:1", f"-1 1:{value} 2:0"],
+            ".csv": ["y,a,b", "1,3,1", f"-1,{value},0"]}[suffix]
+    path = tmp_path / f"data{suffix}"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(["lambda-max", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3" in captured.err
 
 
 class TestLambdaMax:
@@ -174,6 +203,22 @@ def test_unrepresentable_shift_exit_4(command, v, reg_file, capsys):
     assert "V" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["100", "-1", "nan"])
+def test_delta_out_of_range_exit_4(delta, reg_file, capsys):
+    assert main(["screen", reg_file, "--lambda-ratio", "0.3", "--delta", delta]) == 4
+    assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--lambda-ratio", "0"], "--lambda-ratio"),
+    (["solve", "--lambda-absolute", "-1"], "--lambda-absolute"),
+    (["verify", "--lambda-ratio", "1", "--self-test"], "--self-test"),
+])
+def test_invalid_configuration_exit_3(argv, message, reg_file, capsys):
+    assert main([argv[0], reg_file, *argv[1:]]) == 3
+    assert message in capsys.readouterr().err
+
+
 class TestVerify:
     def test_clean_exit_0(self, reg_file, capsys):
         code = main(["verify", reg_file, "--lambda-ratio", "0.3", "--V", "0.1",
@@ -224,3 +269,15 @@ class TestDeterminism:
             assert main(cmd) == 0
             second = capsys.readouterr().out
             assert first == second
+
+
+def test_readme_cli_examples_parse():
+    """Every documented command line must still be accepted by the parser."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", block, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("drfs ")]
+    assert len(lines) >= 6
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]

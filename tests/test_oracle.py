@@ -124,10 +124,12 @@ class TestVerify:
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)
         with pytest.raises(ValueError, match="different weight box"):
             verify_no_false_elimination(
-                reg40, SQ, lam, WeightBox(reg40.n, 0.5), report, trials=5, seed=0
+                reg40, SQ, lam, WeightBox(reg40.n, 0.5), report, trials=5, seed=0,
+                reference_model=model,
             )
         with pytest.raises(ValueError, match="trials"):
-            verify_no_false_elimination(reg40, SQ, lam, box, report, trials=0, seed=0)
+            verify_no_false_elimination(reg40, SQ, lam, box, report, trials=0, seed=0,
+                                        reference_model=model)
 
     def test_outcome_json(self, reg40):
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.0)

@@ -76,7 +76,7 @@ class TestRhoVector:
         model = uniform_fit(reg40, SQ, lam, gap_tolerance=1e-12)
         ref = build_reference(reg40, model, WeightBox(reg40.n, 0.0))
         margins = reg40.x @ model.b + model.b0
-        np.testing.assert_allclose(rho_vector(ref, 0.0), -model.alpha * margins, atol=1e-9)
+        np.testing.assert_allclose(rho_vector(ref), -model.alpha * margins, atol=1e-9)
 
     def test_zero_dual_instance(self, reg40):
         _, model, _, ref, _ = screen_setup(reg40, SQ, 0.3, 0.5)
@@ -86,7 +86,7 @@ class TestRhoVector:
         import dataclasses
 
         ref2 = dataclasses.replace(ref, alpha_star=alpha)
-        rho = rho_vector(ref2, ref.delta)
+        rho = rho_vector(ref2)
         # conjugate of either loss vanishes at alpha = 0
         assert rho[idx] == pytest.approx(ref.losses_at_optimum[idx], abs=1e-14)
 
@@ -97,7 +97,7 @@ class TestRhoVector:
         from drfs import conjugate_neg
 
         _, model, box, ref, _ = screen_setup(ds, kind, 0.2, 1.0)
-        rho = rho_vector(ref, box.delta)
+        rho = rho_vector(ref)
         for w in np.linspace(1 - box.delta, 1 + box.delta, 100):
             vals = ref.losses_at_optimum + np.asarray(
                 conjugate_neg(kind, ds.y, ref.q * ref.alpha_star / w)

@@ -17,7 +17,8 @@ from drfs import (
     recover_dual,
     synth,
 )
-from drfs.solver import objective_scale
+from drfs.losses import _sigmoid
+from drfs.solver import DEFAULT_EQ_PER_ROW, _intercept_logistic, objective_scale
 
 SQ = LossKind.SQUARED
 LOG = LossKind.LOGISTIC
@@ -138,6 +139,21 @@ class TestFit:
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(gap_tolerance=-1.0)
+
+
+class TestInterceptNewton:
+    @pytest.mark.parametrize("t0,w,expected", [
+        # every Newton step is clipped to +10 until the sigmoids leave saturation
+        ([-800.0, -800.0], [1.0, 1.0], 800.0),
+        # both sigmoids round to exactly 1: zero Hessian, unit-step fallback
+        ([-40.0, 40.0], [2.0, 1.0], 40.0),
+    ])
+    def test_saturated_start_reaches_optimum(self, t0, w, expected):
+        y = np.array([1.0, -1.0])
+        t0, w = np.array(t0), np.array(w)
+        b0 = _intercept_logistic(y, t0, w, 0.0, DEFAULT_EQ_PER_ROW * 2, float(np.sum(w)))
+        assert b0 == expected
+        assert float(np.dot(w, y * _sigmoid(-y * (t0 + b0)))) == 0.0
 
 
 class TestLambdaMax:
