@@ -12,9 +12,12 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
+
+from .uncertainty import _squared_half_sums
 
 
 class ParseError(ValueError):
@@ -38,13 +41,20 @@ class Task(Enum):
 
 @dataclass(frozen=True)
 class Dataset:
+    """A design matrix and its labels.
+
+    `x` is stored read-only: screening caches column statistics of it for
+    the life of the dataset.
+    """
+
     x: np.ndarray
     y: np.ndarray
     task: Task
     feature_names: list[str] | None = None
 
     def __post_init__(self) -> None:
-        x = np.asfortranarray(np.asarray(self.x, dtype=float))
+        x = np.asfortranarray(np.asarray(self.x, dtype=float)).view()
+        x.flags.writeable = False
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -69,6 +79,11 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def _x_sq_half_sums(self) -> np.ndarray:
+        """The (3, d) half-sums of x*x that screen pairs with every weight box."""
+        return _squared_half_sums(self.x)
 
 
 @dataclass(frozen=True)
@@ -95,52 +110,83 @@ def _map_binary_labels(labels: np.ndarray) -> np.ndarray:
     return np.where(labels == distinct[0], -1.0, 1.0)
 
 
+def _check_indices(idx: np.ndarray, lineno: int) -> None:
+    """Reject the first index below 1 or not above the one before it."""
+    bad = idx <= np.concatenate(([0], idx[:-1]))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if idx[k] < 1:
+            raise ParseError(f"feature index must be >= 1, got {idx[k]}", lineno)
+        raise ParseError(f"non-increasing feature index {idx[k]}", lineno)
+
+
+def _bad_entry(entries: list[str], lineno: int) -> ParseError:
+    """The error for the first entry that does not read as idx:val, unless an
+    index before it is out of order, which is reported first."""
+    indices = []
+    for token in entries:
+        idx_s, _, val_s = token.partition(":")
+        try:
+            idx = np.array(idx_s, dtype=np.int64)
+            float(val_s)
+        except OverflowError:
+            big = int(idx_s)
+            error = ParseError(f"feature index must be >= 1, got {big}" if big < 1
+                               else f"feature index too large in {token!r}", lineno)
+        except ValueError:
+            error = ParseError(f"bad feature entry {token!r}", lineno)
+        else:
+            indices.append(idx)
+            continue
+        _check_indices(np.array(indices, dtype=np.int64), lineno)
+        return error
+    raise AssertionError(f"line {lineno}: no malformed entry among {entries!r}")
+
+
 def parse_libsvm(source: str | IO[str], task: Task = Task.REGRESSION) -> Dataset:
     """Parse `label idx:val ...` lines with 1-based strictly increasing indices.
 
     Absent indices are zero.  With a binary task, any two distinct label
-    values are mapped onto {-1, +1} in sorted order.
+    values are mapped onto {-1, +1} in sorted order.  Each line's indices
+    and values are converted by one numpy call each, with Python's int and
+    float syntax.
     """
     labels: list[float] = []
-    rows: list[list[tuple[int, float]]] = []
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
     d = 0
     for lineno, raw in enumerate(_as_lines(source), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             label = float(parts[0])
         except ValueError:
             raise ParseError(f"bad label {parts[0]!r}", lineno) from None
-        entries: list[tuple[int, float]] = []
-        prev = 0
-        for token in parts[1:]:
-            idx_s, _, val_s = token.partition(":")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError:
-                raise ParseError(f"bad feature entry {token!r}", lineno) from None
-            if idx < 1:
-                raise ParseError(f"feature index must be >= 1, got {idx}", lineno)
-            if idx <= prev:
-                raise ParseError(f"non-increasing feature index {idx}", lineno)
-            prev = idx
-            entries.append((idx, val))
-        if not all(map(math.isfinite, [label, *(val for _, val in entries)])):
+        # label idx : val idx : val ...; with one part per entry, every part
+        # is exactly idx:val
+        tokens = raw.replace(":", " : ").split()
+        m = len(parts) - 1
+        try:
+            if len(tokens) != 1 + 3 * m or raw.count(":") != m or tokens[2::3].count(":") != m:
+                raise ValueError("not idx:val")
+            idx = np.array(tokens[1::3], dtype=np.int64)
+            val = np.array(tokens[3::3], dtype=float)
+        except (ValueError, OverflowError):
+            raise _bad_entry(parts[1:], lineno) from None
+        _check_indices(idx, lineno)
+        if not (math.isfinite(label) and np.isfinite(val).all()):
             raise ParseError("non-finite label or feature value", lineno)
-        d = max(d, prev)
+        if m:
+            d = max(d, int(idx[-1]))
         labels.append(label)
-        rows.append(entries)
+        rows.append((idx, val))
     if not rows:
         raise ParseError("empty dataset")
     if d == 0:
         raise ParseError("no feature entries found")
-    x = np.zeros((len(rows), d))
-    for i, entries in enumerate(rows):
-        for idx, val in entries:
-            x[i, idx - 1] = val
+    x = np.zeros((len(rows), d), order="F")
+    for i, (idx, val) in enumerate(rows):
+        x[i, idx - 1] = val
     y = np.array(labels)
     if task is Task.BINARY:
         y = _map_binary_labels(y)
@@ -164,32 +210,37 @@ def parse_csv(
     label_column: int | str = 0,
     task: Task = Task.REGRESSION,
 ) -> Dataset:
-    """Parse a rectangular numeric CSV, optional header, one column as labels."""
+    """Parse a rectangular numeric CSV, optional header, one column as labels.
+
+    Each row is converted by one numpy call, with Python's float syntax
+    (cells may be padded with spaces).
+    """
     header: list[str] | None = None
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     width = None
     for lineno, raw in enumerate(_as_lines(source), start=1):
         line = raw.strip()
         if not line:
             continue
-        cells = [c.strip() for c in line.split(",")]
-        if header is None and not rows:
-            try:
-                [float(c) for c in cells]
-            except ValueError:
-                header = cells
-                width = len(cells)
-                continue
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
+        cells = line.split(",")
+        if width is not None and len(cells) != width:
             raise ParseError(f"ragged row: expected {width} cells, got {len(cells)}", lineno)
         try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell ({exc})", lineno) from None
-        if not all(map(math.isfinite, rows[-1])):
+            row = np.array(cells, dtype=float)
+        except ValueError:
+            if header is None and not rows:
+                header = [c.strip() for c in cells]
+                width = len(cells)
+                continue
+            try:  # float() names the first bad cell without its padding
+                [float(c.strip()) for c in cells]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric cell ({exc})", lineno) from None
+            raise  # unreachable: padding does not change what float() accepts
+        if not np.isfinite(row).all():
             raise ParseError("non-finite cell", lineno)
+        width = len(cells)
+        rows.append(row)
     if not rows:
         raise ParseError("empty dataset")
     assert width is not None

@@ -6,7 +6,7 @@ every admissible weight vector simultaneously.  Features whose bound stays
 below lambda can never enter the optimal support under any admissible
 shift and are safe to drop.  The bound combines a rescaled dual point that
 stays feasible for all weights, a duality-gap ball for the re-weighted
-dual optimum, and two sort-based maximizations over the weight polytope.
+dual optimum, and two closed-form maximizations over the weight polytope.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
 from .solver import FittedModel, duality_gap
-from .uncertainty import WeightBox, _sorted_pairing, contains, max_linear, v_from_delta
+from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
 # the feature, so floating-point equality never removes anything
@@ -196,8 +196,10 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
 def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningReport:
     """Bound every feature and mark the ones that can never become active.
 
-    Work is O(d n log n): the sorted-rho maximization and the regularizer
-    term are shared, each feature adds one column sort and two dot products.
+    Work is O(n d) for the correlations x.T @ alpha and O(n) for the
+    worst-case gap.  The column term needs the half-sums of x*x, which each
+    dataset computes on its first screen, in O(n d), and keeps; every later
+    screen of it, at any delta, adds O(d).
 
     Removal uses the strict rule bounds_j < lambda * (1 - 1e-12), except at
     the all-removed endpoint: when delta = 0 and the reference coefficient
@@ -214,10 +216,10 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
     nu = nu_constant(ref.loss_kind)
     lam = ref.lam
     first = ref.q * np.abs(dataset.x.T @ ref.alpha_star)
-    # worst-case duality gap over the box: sorted-rho maximization plus the
+    # worst-case duality gap over the box: the rho maximization plus the
     # regularizer term, clamped at zero against rounding
     gbar = max(0.0, max_linear(rho_vector(ref), box) + lam * float(np.sum(np.abs(ref.b))))
-    nmax_sq = _sorted_pairing(dataset.x * dataset.x, box, squared=True)
+    nmax_sq = _pair_half_sums(dataset._x_sq_half_sums, box, squared=True)
     bounds = first + np.sqrt(nmax_sq * _ball_factor(nu, box.delta) * gbar)
     if box.delta == 0.0 and not np.any(ref.b):
         removed = first <= lam * (1.0 + ZERO_REFERENCE_BAND)

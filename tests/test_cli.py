@@ -118,6 +118,48 @@ def test_non_finite_data_value_exit_1(suffix, value, tmp_path, capsys):
     assert "line 3" in captured.err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("0 0:1", "feature index must be >= 1, got 0"),
+    ("0 3:", "bad feature entry '3:'"),
+    ("0 :5", "bad feature entry ':5'"),
+    ("0 3:4:5", "bad feature entry '3:4:5'"),
+    ("0 abc", "bad feature entry 'abc'"),
+    ("0 1.5:2", "bad feature entry '1.5:2'"),
+    ("0 2:1 1:1", "non-increasing feature index 1"),
+    ("0 3:nan", "non-finite label or feature value"),
+    ("nan 1:1", "non-finite label or feature value"),
+    ("0 99999999999999999999:1", "feature index too large in '99999999999999999999:1'"),
+    # with two faults on a line, the first entry in reading order is reported
+    ("0 0:1 abc", "feature index must be >= 1, got 0"),
+    ("0 2:1 1:x", "bad feature entry '1:x'"),
+    ("0 1:nan 0:1", "feature index must be >= 1, got 0"),
+])
+def test_malformed_libsvm_line_exit_1(line, message, tmp_path, capsys):
+    path = tmp_path / "bad.libsvm"
+    path.write_text(f"1 1:1 2:2\n{line}\n1 1:3 2:1\n", encoding="utf-8")
+    assert main(["lambda-max", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("1,abc", "non-numeric cell (could not convert string to float: 'abc')"),
+    ("1, abc ", "non-numeric cell (could not convert string to float: 'abc')"),
+    ("1,", "non-numeric cell (could not convert string to float: '')"),
+    ("1,2,3", "ragged row: expected 2 cells, got 3"),
+    ("nan,1", "non-finite cell"),
+    ("1, 1e500", "non-finite cell"),
+])
+def test_malformed_csv_line_exit_1(line, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,2\n{line}\n3,4\n", encoding="utf-8")
+    assert main(["lambda-max", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 2: {message}\n"
+
+
 class TestLambdaMax:
     def test_toy_value(self, toy_file, capsys):
         code = main(["lambda-max", toy_file, "--no-standardize"])

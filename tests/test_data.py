@@ -1,5 +1,9 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from drfs import (
     Dataset,
@@ -29,6 +33,14 @@ class TestDatasetValidation:
     def test_column_major_storage(self):
         ds = Dataset(x=np.ones((3, 2)), y=np.zeros(3), task=Task.REGRESSION)
         assert ds.x.flags["F_CONTIGUOUS"]
+
+    def test_x_is_read_only(self):
+        """screen caches column statistics of x, so x must not change under it."""
+        x = np.asfortranarray(np.ones((3, 2)))
+        ds = Dataset(x=x, y=np.zeros(3), task=Task.REGRESSION)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.x[0, 0] = 2.0
+        x[0, 0] = 2.0  # the caller's own array stays writable
 
 
 class TestParseLibsvm:
@@ -96,6 +108,55 @@ class TestParseCsv:
     def test_missing_label_column(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_csv("1,2\n3,4\n", label_column=5)
+
+    def test_padded_cells(self):
+        padded = parse_csv(" a , b\n 1 , 2\t\n3,  4 \n", label_column="a")
+        plain = parse_csv("a,b\n1,2\n3,4\n", label_column="a")
+        assert padded.feature_names == ["b"]
+        np.testing.assert_array_equal(padded.x, plain.x)
+        np.testing.assert_array_equal(padded.y, plain.y)
+
+
+# zeros, +-subnormals, ordinary values and exponents near the float64 limit
+_VALUES = st.one_of(
+    st.just(0.0),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(-1e6, 1e6),
+    st.floats(1e300, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(1, 5)), elements=_VALUES),
+       data=st.data())
+def test_libsvm_round_trip_is_bit_exact(x, data):
+    x = x + 0.0  # the format stores zeros by omission, so -0.0 comes back as 0.0
+    if x[0, -1] == 0.0:
+        x[0, -1] = 1.0  # a nonzero in the last column fixes the column count
+    y = data.draw(arrays(np.float64, x.shape[0], elements=_VALUES), label="y")
+    ds = Dataset(x=x, y=y, task=Task.REGRESSION)
+    again = parse_libsvm(serialize_libsvm(ds))
+    np.testing.assert_array_equal(_bits(again.x), _bits(ds.x))
+    np.testing.assert_array_equal(_bits(again.y), _bits(ds.y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 6)),
+                    elements=_VALUES))
+def test_csv_round_trip_is_bit_exact(table):
+    """Written as the benchmark writes its CSV: 17 significant digits, a header."""
+    names = ["y"] + [f"x{j + 1}" for j in range(table.shape[1] - 1)]
+    buffer = io.StringIO()
+    np.savetxt(buffer, table, fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    ds = parse_csv(buffer.getvalue(), label_column="y")
+    np.testing.assert_array_equal(_bits(ds.y), _bits(table[:, 0]))
+    np.testing.assert_array_equal(_bits(ds.x), _bits(table[:, 1:]))
+    assert ds.feature_names == names[1:]
 
 
 class TestStandardize:

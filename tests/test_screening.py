@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ from drfs import (
     sample_feasible,
     ub_for_weight,
     enumerate_corners,
+    max_linear,
+    nu_constant,
+    standardize,
+    synth,
+    worst_case_weights,
 )
 from conftest import screen_setup, uniform_fit
 from drfs.solver import objective_scale
@@ -312,3 +318,61 @@ class TestReportSerialization:
         assert lines[0] == "index,bound,removed"
         assert len(lines) == reg40.d + 1
         assert lines[1].startswith("0,")
+
+
+def _reg_problem(n, d, seed):
+    dataset, _ = standardize(synth(Task.REGRESSION, n, d, 3, 0.5, seed)[0])
+    lam = 0.3 * lambda_max(dataset, np.ones(dataset.n), SQ)
+    return dataset, uniform_fit(dataset, SQ, lam)
+
+
+class TestColumnCache:
+    """screen pairs each box with half-sums of x*x cached on the dataset."""
+
+    @pytest.mark.parametrize("n", [41, 40])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 0.99])
+    def test_matches_sorted_oracle(self, n, delta):
+        dataset, model = _reg_problem(n, 9, 5)
+        box = WeightBox(n, delta)
+        ref = build_reference(dataset, model, box)
+        report = screen(dataset, ref, box)
+        x = dataset.x
+        first = ref.q * np.abs(x.T @ ref.alpha_star)
+        gbar = max(0.0, max_linear(rho_vector(ref), box) + ref.lam * float(np.sum(np.abs(ref.b))))
+        nmax_sq = worst_case_weights(box) ** 2 @ np.sort(x * x, axis=0)
+        oracle = first + np.sqrt(nmax_sq * (2.0 * nu_constant(SQ) / (1.0 - delta)) * gbar)
+        np.testing.assert_allclose(report.bounds, oracle, rtol=1e-13, atol=0)
+
+    def test_independent_of_screening_order(self):
+        deltas = [0.0, 1e-3, 0.1, 0.5]
+
+        def bounds_in_order(dataset, model, order):
+            out = {}
+            for delta in order:
+                box = WeightBox(dataset.n, delta)
+                out[delta] = screen(dataset, build_reference(dataset, model, box), box).bounds
+            return out
+
+        dataset, model = _reg_problem(41, 9, 6)
+        up = bounds_in_order(dataset, model, deltas)
+        down = bounds_in_order(dataset, model, deltas[::-1])
+        fresh = Dataset(x=dataset.x.copy(), y=dataset.y.copy(), task=dataset.task)
+        again = bounds_in_order(fresh, model, deltas[::-1])
+        for delta in deltas:
+            np.testing.assert_array_equal(up[delta], down[delta])
+            np.testing.assert_array_equal(up[delta], again[delta])
+
+    def test_first_screen_allocates_less_than_half_of_x(self):
+        """No full-size x*x or sorted copy: the column term is built in blocks."""
+        dataset, _ = synth(Task.REGRESSION, 8000, 250, 5, 0.5, 8)
+        lam = 0.5 * lambda_max(dataset, np.ones(dataset.n), SQ)
+        model = uniform_fit(dataset, SQ, lam)
+        box = WeightBox(dataset.n, 1e-4)
+        ref = build_reference(dataset, model, box)
+        tracemalloc.start()
+        try:
+            screen(dataset, ref, box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dataset.x.nbytes / 2

@@ -16,7 +16,7 @@ from drfs import (
     worst_case_weights,
 )
 from drfs.oracle import brute_force_max
-from drfs.uncertainty import _sorted_pairing
+from drfs.uncertainty import HALF_SUM_BLOCK_BYTES, _sorted_pairing, _squared_half_sums
 
 
 class TestConversions:
@@ -209,3 +209,17 @@ def test_matrix_pairing_matches_corner_enumeration_per_column(data):
         assert squared[j] == pytest.approx(
             brute_force_max(np.abs(c[:, j]), box, squared=True), abs=4 * tol
         )
+
+
+@pytest.mark.parametrize("n", [2001, 2000])
+def test_squared_half_sums_across_column_blocks(n):
+    """Blocks of columns, the last one partial, give the sorted half-sums."""
+    step = HALF_SUM_BLOCK_BYTES // (8 * n)
+    x = np.random.default_rng(n).standard_normal((n, 2 * step + 3))
+    sums = _squared_half_sums(np.asfortranarray(x))
+    ordered = np.sort(x * x, axis=0)
+    half = n // 2
+    expected = [ordered[:half].sum(axis=0),
+                ordered[half] if n % 2 else np.zeros(x.shape[1]),
+                ordered[n - half:].sum(axis=0)]
+    np.testing.assert_allclose(sums, expected, rtol=1e-13, atol=0)
