@@ -33,8 +33,9 @@ def nu_constant(kind: LossKind) -> float:
 
 
 def _sigmoid(z):
-    z = np.clip(z, -500.0, 500.0)
-    return 1.0 / (1.0 + np.exp(-z))
+    # clipped into [-500, 500] by two ufuncs: np.clip's Python wrapper costs
+    # more than the arithmetic on the solver's short vectors
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
 
 
 def _softplus(z):
@@ -56,28 +57,53 @@ def _maybe_scalar(value, *inputs):
     return value
 
 
+# Unchecked kernels on float arrays.  The solver validates labels once per
+# fit and calls these in its inner loop; the public functions below check
+# their arguments and then call the same kernel.
+
+
+def _loss(kind: LossKind, y: np.ndarray, t: np.ndarray):
+    if kind is LossKind.SQUARED:
+        return (t - y) ** 2
+    return _softplus(-y * t)
+
+
+def _derivative(kind: LossKind, y: np.ndarray, t: np.ndarray):
+    if kind is LossKind.SQUARED:
+        return 2.0 * (t - y)
+    return -y * _sigmoid(-y * t)
+
+
+def _dual_from_margin(kind: LossKind, y: np.ndarray, t: np.ndarray):
+    if kind is LossKind.SQUARED:
+        return 2.0 * (y - t)
+    return y * _sigmoid(-y * t)
+
+
+def _conjugate_neg(kind: LossKind, y: np.ndarray, a: np.ndarray):
+    if kind is LossKind.SQUARED:
+        return 0.25 * a * a - y * a
+    p = y * a
+    if np.any((p < 0.0) | (p > 1.0)):
+        raise DomainError("logistic conjugate requires 0 <= y*alpha <= 1")
+    return xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
+
+
+def _checked(kernel, kind: LossKind, y, t):
+    _check_labels(kind, y)
+    y_arr = np.asarray(y, dtype=float)
+    out = kernel(kind, y_arr, np.asarray(t, dtype=float))
+    return _maybe_scalar(out, y_arr, t)
+
+
 def loss_value(kind: LossKind, y, t):
     """loss(y, t): squared residual or logistic negative log-likelihood."""
-    _check_labels(kind, y)
-    y = np.asarray(y, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    if kind is LossKind.SQUARED:
-        out = (tt - y) ** 2
-    else:
-        out = _softplus(-y * tt)
-    return _maybe_scalar(out, y, t)
+    return _checked(_loss, kind, y, t)
 
 
 def loss_derivative(kind: LossKind, y, t):
     """d/dt loss(y, t)."""
-    _check_labels(kind, y)
-    y = np.asarray(y, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    if kind is LossKind.SQUARED:
-        out = 2.0 * (tt - y)
-    else:
-        out = -y * _sigmoid(-y * tt)
-    return _maybe_scalar(out, y, t)
+    return _checked(_derivative, kind, y, t)
 
 
 def dual_from_margin(kind: LossKind, y, t):
@@ -86,14 +112,7 @@ def dual_from_margin(kind: LossKind, y, t):
     Returns -loss_derivative(kind, y, t).  For the logistic loss the output
     always satisfies 0 < y*alpha < 1.
     """
-    _check_labels(kind, y)
-    y = np.asarray(y, dtype=float)
-    tt = np.asarray(t, dtype=float)
-    if kind is LossKind.SQUARED:
-        out = 2.0 * (y - tt)
-    else:
-        out = y * _sigmoid(-y * tt)
-    return _maybe_scalar(out, y, t)
+    return _checked(_dual_from_margin, kind, y, t)
 
 
 def conjugate_neg(kind: LossKind, y, alpha):
@@ -103,17 +122,7 @@ def conjugate_neg(kind: LossKind, y, alpha):
     Logistic: (1-p)log(1-p) + p log(p) with p = y*alpha, defined for
     p in [0, 1] with value 0 at both endpoints.
     """
-    _check_labels(kind, y)
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(alpha, dtype=float)
-    if kind is LossKind.SQUARED:
-        out = 0.25 * a * a - y * a
-        return _maybe_scalar(out, y, alpha)
-    p = y * a
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise DomainError("logistic conjugate requires 0 <= y*alpha <= 1")
-    out = xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
-    return _maybe_scalar(out, y, alpha)
+    return _checked(_conjugate_neg, kind, y, alpha)
 
 
 def feasibility_q(kind: LossKind, delta: float) -> float:

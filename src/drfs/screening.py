@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
-from .solver import FittedModel, duality_gap
+from .solver import FittedModel, _ball_factor, duality_gap
 from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
@@ -130,18 +130,13 @@ def _into_domain(kind: LossKind, y: np.ndarray, alpha: np.ndarray, what: str) ->
     return y * np.clip(p, 0.0, 1.0)
 
 
-def _ball_factor(nu: float, delta: float) -> float:
-    """2 nu / (1 - delta): squared gap-ball radius per unit of duality gap."""
-    return 2.0 * nu / (1.0 - delta)
-
-
 def dg_radius(gap: float, nu: float, delta: float) -> float:
     """Radius of the ball certain to contain the re-weighted dual optimum."""
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    return math.sqrt(_ball_factor(nu, delta) * gap)
+    return math.sqrt(_ball_factor(nu, 1.0 - delta) * gap)
 
 
 def _conjugate_at_scaled(ref: ReferencePair, factor: float) -> np.ndarray:
@@ -190,7 +185,7 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
     first = abs(float(np.dot(w * alpha_hat, col)))
     nu = nu_constant(ref.loss_kind)
     norm_sq = float(np.dot(w * w, col * col))
-    return first + math.sqrt(norm_sq * _ball_factor(nu, box.delta) * gap)
+    return first + math.sqrt(norm_sq * _ball_factor(nu, 1.0 - box.delta) * gap)
 
 
 def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningReport:
@@ -220,7 +215,7 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
     # regularizer term, clamped at zero against rounding
     gbar = max(0.0, max_linear(rho_vector(ref), box) + lam * float(np.sum(np.abs(ref.b))))
     nmax_sq = _pair_half_sums(dataset._x_sq_half_sums, box, squared=True)
-    bounds = first + np.sqrt(nmax_sq * _ball_factor(nu, box.delta) * gbar)
+    bounds = first + np.sqrt(nmax_sq * _ball_factor(nu, 1.0 - box.delta) * gbar)
     if box.delta == 0.0 and not np.any(ref.b):
         removed = first <= lam * (1.0 + ZERO_REFERENCE_BAND)
     else:

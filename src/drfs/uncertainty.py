@@ -18,10 +18,11 @@ from typing import Iterator
 import numpy as np
 
 CORNER_CAP = 12
-# column block of _squared_half_sums; its two temporaries of this size stay in
-# cache.  On 10000x2000 (2-CPU Intel VM): 0.06 s at 256 KiB, 0.17 s at 1 MiB,
-# 0.32 s for x*x plus a full column sort
-HALF_SUM_BLOCK_BYTES = 1 << 18
+# column block of every pass over the squared columns of x (_squared_half_sums
+# here, the solver's column sums); the temporaries of this size stay in cache.
+# Half-sums on 10000x2000 (2-CPU Intel VM): 0.06 s at 256 KiB, 0.17 s at
+# 1 MiB, 0.32 s for x*x plus a full column sort
+COLUMN_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,20 @@ def _half_sums(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return low, mid, part[n - half:].sum(axis=0)
 
 
-def _squared_half_sums(x: np.ndarray) -> np.ndarray:
-    """_half_sums of x*x as a (3, d) array, built HALF_SUM_BLOCK_BYTES of
-    columns at a time so no full x*x copy is made."""
+def _column_blocks(x: np.ndarray) -> list[slice]:
+    """Consecutive column slices of x, COLUMN_BLOCK_BYTES of it each; a
+    matrix that fits in one block gets the single slice of all its columns."""
     n, d = x.shape
-    step = max(1, HALF_SUM_BLOCK_BYTES // (x.itemsize * n))
-    sums = np.empty((3, d))
-    for j in range(0, d, step):
-        sums[:, j:j + step] = _half_sums(np.square(x[:, j:j + step]))
+    step = max(1, COLUMN_BLOCK_BYTES // (x.itemsize * n))
+    return [slice(j, j + step) for j in range(0, d, step)]
+
+
+def _squared_half_sums(x: np.ndarray) -> np.ndarray:
+    """_half_sums of x*x as a (3, d) array, built one column block at a time
+    so no full x*x copy is made."""
+    sums = np.empty((3, x.shape[1]))
+    for cols in _column_blocks(x):
+        sums[:, cols] = _half_sums(np.square(x[:, cols]))
     return sums
 
 
