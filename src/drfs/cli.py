@@ -200,8 +200,9 @@ def _model_json(model: FittedModel) -> str:
     payload = {
         "loss": model.loss_kind.value,
         "lambda": model.lam,
-        "b": [float(v) for v in model.b],
-        "b0": model.b0,
+        # + 0.0 turns the solver's -0.0 for an inactive coefficient into 0.0
+        "b": [float(v) + 0.0 for v in model.b],
+        "b0": float(model.b0) + 0.0,
         "gap": model.gap,
         "support": [int(j) for j in model.support],
         "iterations": model.iterations,

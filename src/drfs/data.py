@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import IO, Iterable
@@ -90,7 +90,7 @@ class Dataset:
 class StandardizationReport:
     means: np.ndarray
     stds: np.ndarray
-    dropped_constant: list[int] = field(default_factory=list)
+    constant_columns: list[int]
 
 
 def _as_lines(source: str | IO[str]) -> Iterable[str]:
@@ -273,21 +273,22 @@ CONSTANT_COLUMN_STD = 1e-12
 def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationReport]:
     """Center and scale each feature to sample mean 0 and sample std 1.
 
-    Uses the n-1 denominator.  Constant columns (std below 1e-12) are
-    dropped and recorded; the response is left untouched.
+    Uses the n-1 denominator.  A constant column (std at most 1e-12) becomes
+    exact zeros and is listed in the report, so column j of the result is
+    still input feature j; a zero column is never active and screen()
+    certifies it removed with bound 0.  The report's means and stds are per
+    input column.  The response is left untouched.
     """
     means = dataset.x.mean(axis=0)
     stds = dataset.x.std(axis=0, ddof=1)
-    keep = stds > CONSTANT_COLUMN_STD
-    dropped = [int(j) for j in np.nonzero(~keep)[0]]
-    if not np.any(keep):
+    constant = stds <= CONSTANT_COLUMN_STD
+    if np.all(constant):
         raise ValueError("all columns are constant; nothing to standardize")
-    x = (dataset.x[:, keep] - means[keep]) / stds[keep]
-    names = None
-    if dataset.feature_names is not None:
-        names = [nm for nm, k in zip(dataset.feature_names, keep) if k]
-    out = Dataset(x=x, y=dataset.y, task=dataset.task, feature_names=names)
-    return out, StandardizationReport(means=means[keep], stds=stds[keep], dropped_constant=dropped)
+    x = (dataset.x - means) / np.where(constant, 1.0, stds)
+    x[:, constant] = 0.0
+    out = Dataset(x=x, y=dataset.y, task=dataset.task, feature_names=dataset.feature_names)
+    return out, StandardizationReport(means=means, stds=stds,
+                                      constant_columns=[int(j) for j in np.flatnonzero(constant)])
 
 
 def synth(

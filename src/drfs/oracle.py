@@ -29,6 +29,7 @@ from .uncertainty import (
 
 ACTIVITY_THRESHOLD = 1e-7
 RESOLVE_GAP_SCALE = 1e-11
+RESOLVE_MAX_ITERATIONS = 200_000
 
 
 @dataclass
@@ -73,7 +74,6 @@ def verify_no_false_elimination(
     seed: int,
     *,
     reference_model: FittedModel,
-    max_iterations: int = 200_000,
 ) -> VerificationOutcome:
     """Re-solve at many admissible weights and flag removed-but-active features.
 
@@ -106,7 +106,7 @@ def verify_no_false_elimination(
         ]
 
     gap_tol = RESOLVE_GAP_SCALE * objective_scale(dataset, np.ones(dataset.n), kind)
-    config = FitConfig(gap_tolerance=gap_tol, max_iterations=max_iterations)
+    config = FitConfig(gap_tolerance=gap_tol, max_iterations=RESOLVE_MAX_ITERATIONS)
     warm_start = (reference_model.b, reference_model.b0)
 
     removed_idx = np.nonzero(report.removed)[0]

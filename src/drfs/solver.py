@@ -28,9 +28,6 @@ from .losses import (
     loss_value,
     nu_constant,
 )
-# unused here since the loop calls the unchecked kernels, but the traced
-# benchmark run wraps these names in this module
-from .losses import conjugate_neg, dual_from_margin, loss_derivative  # noqa: F401
 from .data import Dataset
 from .uncertainty import _column_blocks
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drfs import Task, serialize_libsvm, synth
+from drfs import Dataset, Task, oracle, synth
 from drfs.cli import build_parser, main
+from drfs.data import serialize_libsvm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,6 +45,7 @@ class TestSolve:
         assert list(payload) == ["loss", "lambda", "b", "b0", "gap", "support", "iterations"]
         assert payload["gap"] >= 0
         assert len(payload["b"]) == 15
+        assert not any(math.copysign(1.0, v) < 0 for v in payload["b"] if v == 0.0)
 
     def test_ratio_one_empty_support(self, reg_file, capsys):
         code = main(["solve", reg_file, "--lambda-ratio", "1.0"])
@@ -128,6 +131,7 @@ def test_non_finite_data_value_exit_1(suffix, value, tmp_path, capsys):
     ("0 2:1 1:1", "non-increasing feature index 1"),
     ("0 3:nan", "non-finite label or feature value"),
     ("nan 1:1", "non-finite label or feature value"),
+    ("abc 1:1", "bad label 'abc'"),
     ("0 99999999999999999999:1", "feature index too large in '99999999999999999999:1'"),
     # with two faults on a line, the first entry in reading order is reported
     ("0 0:1 abc", "feature index must be >= 1, got 0"),
@@ -200,6 +204,22 @@ class TestScreen:
         assert lines[0] == "index,bound,removed"
         assert len(lines) == 16
         assert capsys.readouterr().out.startswith("removed_ratio ")
+
+    def test_logistic_on_zero_one_csv_labels(self, tmp_path, capsys):
+        """CSV labels {0, 1} map onto {-1, +1}; the report is the same as for a
+        file that holds -1/+1."""
+        dataset, _ = synth(Task.BINARY, 40, 6, 2, 0.1, 3)
+        outputs = []
+        for name, labels in (("zero_one.csv", (dataset.y + 1) / 2), ("signed.csv", dataset.y)):
+            path = tmp_path / name
+            rows = [",".join(repr(float(v)) for v in (label, *row))
+                    for label, row in zip(labels, dataset.x)]
+            path.write_text("\n".join(["y,a,b,c,d,e,f", *rows]) + "\n", encoding="utf-8")
+            assert main(["screen", str(path), "--loss", "logistic", "--lambda-ratio", "0.3",
+                         "--V", "0.1"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["bounds"]) == 6
 
     def test_shift_overflow_exit_4(self, toy_file):
         assert main(["screen", toy_file, "--lambda-ratio", "0.5", "--V", "10"]) == 4
@@ -279,6 +299,15 @@ class TestVerify:
         assert "violation" in captured.err
         assert json.loads(captured.out)["violations"]
 
+    def test_inconclusive_exit_2(self, reg_file, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 2)
+        code = main(["verify", reg_file, "--lambda-ratio", "0.3", "--V", "0.1",
+                     "--trials", "4", "--seed", "5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["inconclusive"] == 4
+        assert captured.err == "4 inconclusive trial(s)\n"
+
     def test_zero_trials_exit_3(self, reg_file):
         assert main(["verify", reg_file, "--lambda-ratio", "0.3", "--trials", "0"]) == 3
 
@@ -292,6 +321,63 @@ class TestVerify:
         main(["verify", reg_file, "--lambda-ratio", "0.3", "--V", "0.1", "--trials", "4"])
         second = capsys.readouterr().out
         assert json.loads(first)["trials"] == json.loads(second)["trials"] == 4
+
+
+@pytest.fixture(scope="module")
+def index_files(tmp_path_factory):
+    """Input feature 3 carries the signal in both files; feature 1 is a stuck
+    sensor in the CSV and never appears (LIBSVM index 1:) in the LIBSVM file."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((30, 4))
+    y = 2.0 * x[:, 3] + 0.05 * rng.standard_normal(30)
+    folder = tmp_path_factory.mktemp("indices")
+    stuck = x.copy()
+    stuck[:, 1] = 2.5
+    csv = folder / "stuck.csv"
+    csv.write_text("y,a,b,c,d\n" + "".join(
+        ",".join(repr(float(v)) for v in (label, *row)) + "\n" for label, row in zip(y, stuck)),
+        encoding="utf-8")
+    libsvm = folder / "gap.libsvm"
+    libsvm.write_text("".join(
+        f"{float(label)!r} " + " ".join(f"{j + 1}:{float(row[j])!r}" for j in (1, 2, 3)) + "\n"
+        for label, row in zip(y, x)), encoding="utf-8")
+    return {"csv": (str(csv), 1), "libsvm": (str(libsvm), 0)}
+
+
+@pytest.mark.parametrize("kind", ["csv", "libsvm"])
+class TestInputIndices:
+    """Column j is input feature j in every command, standardized or not."""
+
+    def test_solve_names_input_feature(self, kind, index_files, capsys):
+        path, _ = index_files[kind]
+        supports = []
+        for extra in ([], ["--no-standardize"]):
+            assert main(["solve", path, "--lambda-ratio", "0.3", *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert len(payload["b"]) == 4
+            supports.append(payload["support"])
+        assert supports == [[3], [3]]
+
+    def test_screen_removes_constant_column(self, kind, index_files, tmp_path, capsys):
+        path, constant = index_files[kind]
+        for extra in ([], ["--no-standardize"]):
+            csv = tmp_path / "report.csv"
+            assert main(["screen", path, "--lambda-ratio", "0.3", "--V", "0.1",
+                         "--csv", str(csv), *extra]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert len(payload["bounds"]) == 4
+            assert payload["removed"][3] is False
+            if extra and kind == "csv":  # unstandardized, the stuck column is not zero
+                continue
+            assert payload["bounds"][constant] == 0.0 and payload["removed"][constant]
+            lines = csv.read_text(encoding="utf-8").splitlines()
+            assert lines[1 + constant] == f"{constant},0.0,true"
+
+    def test_verify_exit_0(self, kind, index_files, capsys):
+        path, _ = index_files[kind]
+        assert main(["verify", path, "--lambda-ratio", "0.3", "--V", "0.1",
+                     "--trials", "20", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == []
 
 
 class TestDeterminism:
@@ -323,3 +409,16 @@ def test_readme_cli_examples_parse():
         argv = shlex.split(line)[1:]
         args = build_parser().parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """README's Python block runs as written, next to the data file it reads."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    dataset, _ = synth(Task.REGRESSION, 60, 8, 3, 0.1, 4)
+    x = dataset.x.copy()
+    x[:, 0] = 0.0  # LIBSVM index 1 never occurs
+    text = serialize_libsvm(Dataset(x=x, y=dataset.y, task=dataset.task))
+    (tmp_path / "data.libsvm").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1] == "8 [0]"

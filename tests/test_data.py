@@ -11,10 +11,10 @@ from drfs import (
     Task,
     parse_csv,
     parse_libsvm,
-    serialize_libsvm,
     standardize,
     synth,
 )
+from drfs.data import serialize_libsvm
 
 
 class TestDatasetValidation:
@@ -69,6 +69,13 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 1"):
             parse_libsvm("1 1:x")
 
+    def test_blank_lines_skipped(self):
+        ds = parse_libsvm("\n1 1:2 3:1\n  \t\n\n-1 2:4\n\n")
+        np.testing.assert_array_equal(ds.x, [[2, 0, 1], [0, 4, 0]])
+        np.testing.assert_array_equal(ds.y, [1, -1])
+        with pytest.raises(ParseError, match="line 4"):
+            parse_libsvm("1 1:1\n\n \n1 1:x\n")
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 4))
@@ -108,6 +115,14 @@ class TestParseCsv:
     def test_missing_label_column(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_csv("1,2\n3,4\n", label_column=5)
+
+    def test_blank_lines_skipped(self):
+        ds = parse_csv("\na,b\n\n1,2\n  \t\n3,4\n\n", label_column="a")
+        assert ds.feature_names == ["b"]
+        np.testing.assert_array_equal(ds.x, [[2], [4]])
+        np.testing.assert_array_equal(ds.y, [1, 3])
+        with pytest.raises(ParseError, match="line 4"):
+            parse_csv("1,2\n\n \n1,x\n")
 
     def test_padded_cells(self):
         padded = parse_csv(" a , b\n 1 , 2\t\n3,  4 \n", label_column="a")
@@ -167,12 +182,19 @@ class TestStandardize:
         assert report.means[0] == 2.0
         assert report.stds[0] == 1.0
 
-    def test_constant_column_dropped(self):
-        x = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]])
-        ds = Dataset(x=x, y=np.zeros(3), task=Task.REGRESSION)
+    def test_constant_column_zeroed(self):
+        x = np.array([[5.0, 1.0, 0.3], [5.0, 2.0, 0.3], [5.0, 4.0, 0.3]])
+        ds = Dataset(x=x, y=np.zeros(3), task=Task.REGRESSION, feature_names=["a", "b", "c"])
         out, report = standardize(ds)
-        assert out.d == 1
-        assert report.dropped_constant == [0]
+        assert out.d == 3
+        assert report.constant_columns == [0, 2]
+        assert out.feature_names == ["a", "b", "c"]
+        assert report.means.shape == report.stds.shape == (3,)
+        assert report.means[0] == 5.0
+        np.testing.assert_array_equal(out.x[:, [0, 2]], 0.0)
+        assert not np.signbit(out.x[:, [0, 2]]).any()
+        alone, _ = standardize(Dataset(x=x[:, [1]], y=np.zeros(3), task=Task.REGRESSION))
+        np.testing.assert_array_equal(out.x[:, 1], alone.x[:, 0])
 
     def test_y_untouched(self):
         ds = Dataset(x=np.array([[1.0], [2.0]]), y=np.array([10.0, 20.0]), task=Task.REGRESSION)

@@ -8,11 +8,11 @@ from drfs import (
     LossKind,
     conjugate_neg,
     dual_from_margin,
-    feasibility_q,
     loss_derivative,
     loss_value,
     nu_constant,
 )
+from drfs.losses import feasibility_q
 
 SQ = LossKind.SQUARED
 LOG = LossKind.LOGISTIC

@@ -14,6 +14,7 @@ from drfs import (
     v_from_delta,
     verify_no_false_elimination,
 )
+from drfs import oracle
 from conftest import screen_setup
 
 SQ = LossKind.SQUARED
@@ -72,7 +73,8 @@ class TestVerify:
         assert outcome.ok
 
     def test_small_n_enumerates_all_corners(self, toy_1d):
-        from drfs import build_reference, screen, corner_count
+        from drfs import build_reference, screen
+        from drfs.uncertainty import corner_count
         from conftest import uniform_fit
 
         model = uniform_fit(toy_1d, SQ, 0.1)
@@ -110,11 +112,11 @@ class TestVerify:
         assert any(j == planted for _, j, _ in outcome.violations)
         assert outcome.max_coefficient_on_removed > 1e-7
 
-    def test_non_convergence_is_inconclusive(self, reg40):
+    def test_non_convergence_is_inconclusive(self, reg40, monkeypatch):
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)
+        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 2)
         outcome = verify_no_false_elimination(
-            reg40, SQ, lam, box, report, trials=5, seed=2,
-            max_iterations=2, reference_model=model,
+            reg40, SQ, lam, box, report, trials=5, seed=2, reference_model=model,
         )
         assert outcome.inconclusive == outcome.trials
         assert not outcome.ok

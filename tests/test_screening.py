@@ -18,19 +18,18 @@ from drfs import (
     fit_weighted_erm,
     lambda_max,
     primal_objective,
-    rho_vector,
     screen,
     sample_feasible,
     ub_for_weight,
-    enumerate_corners,
     max_linear,
     nu_constant,
     standardize,
     synth,
-    worst_case_weights,
 )
 from conftest import screen_setup, uniform_fit
+from drfs.screening import rho_vector
 from drfs.solver import objective_scale
+from drfs.uncertainty import enumerate_corners, worst_case_weights
 
 SQ = LossKind.SQUARED
 LOG = LossKind.LOGISTIC

@@ -5,18 +5,22 @@ from hypothesis.extra.numpy import arrays
 
 from drfs import (
     WeightBox,
-    contains,
-    corner_count,
     delta_from_v,
-    enumerate_corners,
     max_linear,
     max_linear_squared,
     sample_feasible,
     v_from_delta,
-    worst_case_weights,
 )
 from drfs.oracle import brute_force_max
-from drfs.uncertainty import COLUMN_BLOCK_BYTES, _sorted_pairing, _squared_half_sums
+from drfs.uncertainty import (
+    COLUMN_BLOCK_BYTES,
+    _sorted_pairing,
+    _squared_half_sums,
+    contains,
+    corner_count,
+    enumerate_corners,
+    worst_case_weights,
+)
 
 
 class TestConversions:
