@@ -32,10 +32,12 @@ def nu_constant(kind: LossKind) -> float:
     return _NU[kind]
 
 
-def _sigmoid(z):
-    # clipped into [-500, 500] by two ufuncs: np.clip's Python wrapper costs
-    # more than the arithmetic on the solver's short vectors
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
+def _sigmoid_neg(yt):
+    # sigmoid(-yt), with yt clipped into [-500, 500] by two ufuncs: np.clip's
+    # Python wrapper costs more than the arithmetic on the solver's short
+    # vectors.  The clip is symmetric, so this is bit for bit the sigmoid of
+    # the clipped -yt, one negation cheaper.
+    return 1.0 / (1.0 + np.exp(np.minimum(np.maximum(yt, -500.0), 500.0)))
 
 
 def _softplus(z):
@@ -68,16 +70,19 @@ def _loss(kind: LossKind, y: np.ndarray, t: np.ndarray):
     return _softplus(-y * t)
 
 
-def _derivative(kind: LossKind, y: np.ndarray, t: np.ndarray):
+def _derivative(kind: LossKind, y: np.ndarray, t: np.ndarray, sig=None):
+    # sig, when given, is the logistic _sigmoid_neg(y * t) its caller already has
     if kind is LossKind.SQUARED:
         return 2.0 * (t - y)
-    return -y * _sigmoid(-y * t)
+    if sig is None:
+        sig = _sigmoid_neg(y * t)
+    return -y * sig
 
 
 def _dual_from_margin(kind: LossKind, y: np.ndarray, t: np.ndarray):
     if kind is LossKind.SQUARED:
         return 2.0 * (y - t)
-    return y * _sigmoid(-y * t)
+    return y * _sigmoid_neg(y * t)
 
 
 def _conjugate_neg(kind: LossKind, y: np.ndarray, a: np.ndarray):

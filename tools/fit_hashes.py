@@ -9,9 +9,12 @@ and the 506x13 squared and 690x14 logistic grid problems at lambda in
 (default tolerance and 1e-10) and, warm-started from each, four re-weighted
 fits (a corner and an interior weight vector at V = 0.1 and V = 1, at the
 verifier's tolerance 1e-11 * scale).  One line per (problem, lambda) gives
-the hash of b, b0, alpha, gap and iterations of its 10 fits, and the last
-line hashes them all.  Running it on two trees and diffing the output
-shows whether any of those fits changed by a single bit.
+the hash of b, b0, alpha, gap and iterations of its 10 fits, and the `all`
+line hashes them all.  The `verify` line hashes the JSON outcomes of the
+acceptance gate's 12 verify configurations (the 40x15 problems, lambda in
+{0.1, 0.3} * lambda_max, V in {0.01, 0.1, 1}, seed 99) at 50 trials, whose
+draws the verifier solves in batches.  Running it on two trees and diffing
+the output shows whether any of those results changed by a single bit.
 """
 
 import hashlib
@@ -27,12 +30,15 @@ from drfs import (  # noqa: E402
     LossKind,
     Task,
     WeightBox,
+    build_reference,
     delta_from_v,
     fit_weighted_erm,
     lambda_max,
     sample_feasible,
+    screen,
     standardize,
     synth,
+    verify_no_false_elimination,
 )
 from drfs.solver import objective_scale  # noqa: E402
 
@@ -71,6 +77,21 @@ def fits(dataset, kind, lam):
                     yield exc.model
 
 
+def verify_outcomes():
+    """The acceptance gate's 12 verify configurations, at 50 trials each."""
+    for _, dataset, kind in PROBLEMS[:2]:
+        w1 = np.ones(dataset.n)
+        lam_max = lambda_max(dataset, w1, kind)
+        for ratio in (0.1, 0.3):
+            lam = ratio * lam_max
+            model = fit_weighted_erm(dataset, w1, kind, lam)
+            for v in (0.01, 0.1, 1.0):
+                box = WeightBox(dataset.n, delta_from_v(v, dataset.n))
+                report = screen(dataset, build_reference(dataset, model, box), box)
+                yield verify_no_false_elimination(dataset, kind, lam, box, report, trials=50,
+                                                  seed=99, reference_model=model)
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, dataset, kind in PROBLEMS:
@@ -83,6 +104,10 @@ def main() -> None:
             total.update(digest.digest())
             print(name, ratio, digest.hexdigest()[:16])
     print("all", total.hexdigest())
+    outcomes = hashlib.sha256()
+    for outcome in verify_outcomes():
+        outcomes.update(outcome.to_json().encode())
+    print("verify", outcomes.hexdigest())
 
 
 if __name__ == "__main__":
