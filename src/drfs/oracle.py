@@ -19,8 +19,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossKind
 from .screening import ScreeningReport
-from .solver import ConvergenceError, FitConfig, FittedModel, _fit_columns, objective_scale
-from .solver import fit_weighted_erm  # noqa: F401  perfbench's traced run wraps this name here
+from .solver import ConvergenceError, FitConfig, FittedModel, fit_weighted_erm, objective_scale
 from .uncertainty import (
     COLUMN_BLOCK_BYTES,
     CORNER_CAP,
@@ -120,7 +119,7 @@ def verify_no_false_elimination(
     batch = max(1, COLUMN_BLOCK_BYTES // (8 * dataset.n))
     for start in range(0, len(weight_draws), batch):
         draws = weight_draws[start:start + batch]
-        fits = _fit_columns(dataset, np.stack(draws, axis=1), kind, lam, config, warm_start)
+        fits = fit_weighted_erm(dataset, np.stack(draws, axis=1), kind, lam, config, warm_start)
         for w, model in zip(draws, fits):
             if isinstance(model, ConvergenceError):
                 outcome.inconclusive += 1

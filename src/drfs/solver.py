@@ -86,9 +86,23 @@ class FittedModel:
         return np.nonzero(self.b)[0]
 
 
-def _check_weights(weights, n: int) -> np.ndarray:
+class ColumnFits(tuple):
+    """The per-column results of one batched fit, in column order: each a
+    FittedModel, or the ConvergenceError carrying its best iterate."""
+
+    @property
+    def iterations(self) -> int:
+        """Iterations the shared loop ran: those of its last column."""
+        return max(r.model.iterations if isinstance(r, ConvergenceError) else r.iterations
+                   for r in self)
+
+
+def _check_weights(weights, n: int, columns: bool = False) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
+    if columns:
+        if w.ndim != 2 or w.shape[0] != n or w.shape[1] < 1:
+            raise ValueError(f"weights must be (n, T) with n = {n}, got shape {w.shape}")
+    elif w.shape != (n,):
         raise ValueError(f"weights must have length {n}, got shape {w.shape}")
     if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
@@ -321,13 +335,19 @@ def fit_weighted_erm(
     lam: float,
     config: FitConfig | None = None,
     warm_start: tuple[np.ndarray, float] | None = None,
-) -> FittedModel:
+) -> FittedModel | ColumnFits:
     """Solve the weighted problem to a certified duality gap.
 
-    Deterministic for fixed inputs.  Raises ConvergenceError carrying the
-    best iterate when max_iterations runs out first.  This is the one-column
-    case of _fit_columns, which documents the algorithm.
+    Deterministic for fixed inputs.  Weights of shape (n,) give a
+    FittedModel, or raise ConvergenceError carrying the best iterate when
+    max_iterations runs out first.  Weights of shape (n, T) solve the T
+    columns together in one loop and give a ColumnFits, which holds rather
+    than raises a column's ConvergenceError.  _fit_columns documents the
+    algorithm; a vector is its one-column case.
     """
+    if np.ndim(weights) == 2:
+        w = _check_weights(weights, dataset.n, columns=True)
+        return ColumnFits(_fit_columns(dataset, w, kind, lam, config, warm_start))
     w = _check_weights(weights, dataset.n)
     (result,) = _fit_columns(dataset, w[:, None], kind, lam, config, warm_start)
     if isinstance(result, ConvergenceError):

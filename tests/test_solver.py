@@ -488,6 +488,24 @@ class TestFitColumns:
                         np.testing.assert_array_equal(result.b, full.b)
                         assert result.iterations == full.iterations
 
+    def test_fit_weighted_erm_takes_weight_columns(self, reg40):
+        """Weights (n, T) give _fit_columns' results as a ColumnFits that holds,
+        not raises, a column's ConvergenceError and reports the loop's count."""
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(0.5, 1.5, size=(reg40.n, 3))
+        lam = 0.2 * lambda_max(reg40, np.ones(reg40.n), SQ)
+        fits = fit_weighted_erm(reg40, weights, SQ, lam)
+        assert isinstance(fits, solver.ColumnFits)
+        for got, want in zip(fits, solver._fit_columns(reg40, weights, SQ, lam), strict=True):
+            np.testing.assert_array_equal(got.b, want.b)
+        assert fits.iterations == max(model.iterations for model in fits)
+        short = fit_weighted_erm(reg40, weights, SQ, lam, FitConfig(max_iterations=1))
+        assert all(isinstance(result, ConvergenceError) for result in short)
+        assert short.iterations == 1
+        for bad in (np.ones((reg40.n + 1, 2)), np.ones((reg40.n, 0)), -np.ones((reg40.n, 2))):
+            with pytest.raises(ValueError, match="weights"):
+                fit_weighted_erm(reg40, bad, SQ, lam)
+
     def test_rejects_bad_warm_start(self, reg40):
         with pytest.raises(ValueError, match="warm start"):
             solver._fit_columns(reg40, np.ones((reg40.n, 2)), SQ, 1.0, None,
