@@ -82,8 +82,9 @@ def verify_no_false_elimination(
     report was screened from.  A trial whose solve does not converge is
     counted as inconclusive, never as a pass.  Corners come first: the
     bounds are maximized there, so they are the likeliest falsifiers.  The
-    draws are solved together, in batches whose (n, T) weight matrix holds
-    at most COLUMN_BLOCK_BYTES.
+    draws are solved together, in batches of T draws whose (n, T) and (d, T)
+    work arrays each hold at most COLUMN_BLOCK_BYTES (T = 1 when one draw's
+    arrays alone are larger).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -116,7 +117,7 @@ def verify_no_false_elimination(
     outcome = VerificationOutcome(
         trials=len(weight_draws), corner_trials=corner_trials, resolve_gap_used=gap_tol
     )
-    batch = max(1, COLUMN_BLOCK_BYTES // (8 * dataset.n))
+    batch = max(1, COLUMN_BLOCK_BYTES // (8 * max(dataset.n, dataset.d)))
     for start in range(0, len(weight_draws), batch):
         draws = weight_draws[start:start + batch]
         fits = fit_weighted_erm(dataset, np.stack(draws, axis=1), kind, lam, config, warm_start)

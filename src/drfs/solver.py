@@ -97,13 +97,12 @@ class ColumnFits(tuple):
                    for r in self)
 
 
-def _check_weights(weights, n: int, columns: bool = False) -> np.ndarray:
+def _check_weights(weights, shape: tuple[int, ...]) -> np.ndarray:
+    """weights as floats of the given shape: (n,), or (n, T) with T >= 1 for
+    the batched form fit_weighted_erm takes from the verifier."""
     w = np.asarray(weights, dtype=float)
-    if columns:
-        if w.ndim != 2 or w.shape[0] != n or w.shape[1] < 1:
-            raise ValueError(f"weights must be (n, T) with n = {n}, got shape {w.shape}")
-    elif w.shape != (n,):
-        raise ValueError(f"weights must have length {n}, got shape {w.shape}")
+    if w.shape != shape or w.size == 0:
+        raise ValueError(f"weights must have shape {shape}, got shape {w.shape}")
     if not np.all(w > 0):
         raise ValueError("weights must be strictly positive")
     return w
@@ -111,13 +110,13 @@ def _check_weights(weights, n: int, columns: bool = False) -> np.ndarray:
 
 def objective_scale(dataset: Dataset, weights, kind: LossKind) -> float:
     """max(1, primal objective of the all-zero model); tolerance reference."""
-    w = _check_weights(weights, dataset.n)
+    w = _check_weights(weights, (dataset.n,))
     zero_margins = np.zeros(dataset.n)
     return max(1.0, float(np.dot(w, loss_value(kind, dataset.y, zero_margins))))
 
 
 def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> float:
-    w = _check_weights(weights, dataset.n)
+    w = _check_weights(weights, (dataset.n,))
     b = np.asarray(b, dtype=float)
     if b.shape != (dataset.d,):
         raise ValueError(f"b must have length {dataset.d}, got shape {b.shape}")
@@ -127,7 +126,7 @@ def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b
 
 def dual_objective(dataset: Dataset, weights, kind: LossKind, alpha) -> float:
     """-sum_i w_i conj(y_i, -alpha_i); -inf when alpha leaves the conjugate domain."""
-    w = _check_weights(weights, dataset.n)
+    w = _check_weights(weights, (dataset.n,))
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (dataset.n,):
         raise ValueError(f"alpha must have length {dataset.n}, got shape {alpha.shape}")
@@ -184,7 +183,7 @@ def recover_dual(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: f
     intercept step of the solver is what drives the weighted sum down.
     Both: scaled by lam / max(lam, ||X^T (w o alpha)||_inf).
     """
-    w = _check_weights(weights, dataset.n)
+    w = _check_weights(weights, (dataset.n,))
     _check_labels(kind, dataset.y)
     b = np.asarray(b, dtype=float)
     margins = dataset.x @ b + b0
@@ -197,7 +196,7 @@ def lambda_max(dataset: Dataset, weights, kind: LossKind) -> float:
     Closed form from the intercept-only optimum: the dual of that fit is
     analytic, and lambda_max is the sup-norm of its feature correlations.
     """
-    w = _check_weights(weights, dataset.n)
+    w = _check_weights(weights, (dataset.n,))
     y = dataset.y
     if kind is LossKind.SQUARED:
         b0 = float(np.dot(w, y) / np.sum(w))
@@ -340,15 +339,16 @@ def fit_weighted_erm(
 
     Deterministic for fixed inputs.  Weights of shape (n,) give a
     FittedModel, or raise ConvergenceError carrying the best iterate when
-    max_iterations runs out first.  Weights of shape (n, T) solve the T
-    columns together in one loop and give a ColumnFits, which holds rather
-    than raises a column's ConvergenceError.  _fit_columns documents the
-    algorithm; a vector is its one-column case.
+    max_iterations runs out first.  Weights of shape (n, T) are the
+    verifier's batched form: the T columns are solved together in one loop
+    and give a ColumnFits, which holds rather than raises a column's
+    ConvergenceError.  _fit_columns documents the algorithm; a vector is its
+    one-column case.
     """
-    if np.ndim(weights) == 2:
-        w = _check_weights(weights, dataset.n, columns=True)
+    # an (n, T) matrix keeps its T; any other shape but (n,) is refused
+    w = _check_weights(weights, (dataset.n,) + np.shape(weights)[1:2])
+    if w.ndim == 2:
         return ColumnFits(_fit_columns(dataset, w, kind, lam, config, warm_start))
-    w = _check_weights(weights, dataset.n)
     (result,) = _fit_columns(dataset, w[:, None], kind, lam, config, warm_start)
     if isinstance(result, ConvergenceError):
         raise result

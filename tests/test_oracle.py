@@ -15,6 +15,8 @@ from drfs import (
     verify_no_false_elimination,
 )
 from drfs import oracle
+from drfs.data import Task, standardize, synth
+from drfs.solver import fit_weighted_erm
 from conftest import screen_setup
 
 SQ = LossKind.SQUARED
@@ -153,6 +155,29 @@ class TestVerify:
         np.testing.assert_allclose([v[2] for v in chunked.violations],
                                    [v[2] for v in whole.violations], rtol=1e-9)
         assert bool(whole.violations) == plant and whole.inconclusive == 0
+
+    def test_wide_input_batches_fit_the_block(self, monkeypatch):
+        """With d > n the (d, T) coefficient arrays set the batch size, so
+        every work array of a batch holds at most COLUMN_BLOCK_BYTES."""
+        ds, _ = synth(Task.REGRESSION, 20, 200, 3, 0.1, 5)
+        ds, _ = standardize(ds)
+        lam, model, box, _, report = screen_setup(ds, SQ, 0.5, 0.1)
+        block = 3 * 8 * ds.d  # 30 draws by n alone
+        monkeypatch.setattr(oracle, "COLUMN_BLOCK_BYTES", block)
+        # only the batch shapes are checked here, not the re-solves' verdicts
+        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 50)
+        batches = []
+
+        def spy(dataset, weights, *args):
+            batches.append(weights.shape[1])
+            return fit_weighted_erm(dataset, weights, *args)
+
+        monkeypatch.setattr(oracle, "fit_weighted_erm", spy)
+        outcome = verify_no_false_elimination(ds, SQ, lam, box, report, trials=10, seed=3,
+                                              reference_model=model)
+        assert batches == [3, 3, 3, 1]
+        assert all(8 * max(ds.n, ds.d) * t <= block for t in batches)
+        assert outcome.trials == 10
 
     def test_report_mismatch_rejected(self, reg40):
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)

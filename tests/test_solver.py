@@ -502,9 +502,15 @@ class TestFitColumns:
         short = fit_weighted_erm(reg40, weights, SQ, lam, FitConfig(max_iterations=1))
         assert all(isinstance(result, ConvergenceError) for result in short)
         assert short.iterations == 1
-        for bad in (np.ones((reg40.n + 1, 2)), np.ones((reg40.n, 0)), -np.ones((reg40.n, 2))):
+        for bad in (np.ones((reg40.n + 1, 2)), np.ones((reg40.n, 0)), -np.ones((reg40.n, 2)),
+                    np.ones((reg40.n, 2, 1))):
             with pytest.raises(ValueError, match="weights"):
                 fit_weighted_erm(reg40, bad, SQ, lam)
+        # the batched form is fit_weighted_erm's alone: a square matrix, which
+        # numpy would broadcast against the labels, is no weight vector
+        for fn in (lambda_max, objective_scale):
+            with pytest.raises(ValueError, match="weights"):
+                fn(reg40, np.ones((reg40.n, reg40.n)), SQ)
 
     def test_rejects_bad_warm_start(self, reg40):
         with pytest.raises(ValueError, match="warm start"):
