@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
-from .solver import FittedModel, _ball_factor, duality_gap
+from .solver import FittedModel, _ball_factor, _times_support, duality_gap
 from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
@@ -93,7 +93,7 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
     if model.weights.shape != (dataset.n,) or not np.all(model.weights == 1.0):
         raise ValueError("reference model must be fit with uniform weights w = 1")
     q = feasibility_q(model.loss_kind, box.delta)
-    margins = dataset.x @ model.b + model.b0
+    margins = _times_support(dataset.x, model.b) + model.b0
     losses = np.asarray(loss_value(model.loss_kind, dataset.y, margins))
     alpha = _into_domain(model.loss_kind, dataset.y, np.array(model.alpha, copy=True),
                          "reference dual point")

@@ -35,13 +35,16 @@ DEFAULT_GAP_SCALE = 1e-9
 DEFAULT_EQ_PER_ROW = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 _CHECK_EVERY = 5
-# The Gap Safe working set runs only when x holds at least this many bytes;
-# below it the loop does exactly the float operations of a fit without one.
-# A full x.T @ v there costs less than an iteration's interpreter overhead
-# (2-CPU Intel VM, OpenBLAS on one thread: x.T @ v 18 us at 1 MiB; a 40x15
-# iteration 35 us squared, 200 us logistic), so screening saves nothing.
-# Fit time with/without it, synth at 0.1 lambda_max: 0.12 MiB 1.01-1.02x,
-# 0.98 MiB 0.77-0.99x, 1.95 MiB 0.77-0.92x, 3.05 MiB 0.65-0.77x.
+# The size of x from which the solver exploits sparsity, on both sides:
+# the Gap Safe working set drops columns the dual certifies zero, and
+# _times_support multiplies only the columns of x under nonzero
+# coefficients.  Below it the fit does exactly the float operations of a
+# dense one.  A full x.T @ v there costs less than an iteration's
+# interpreter overhead (2-CPU Intel VM, OpenBLAS on one thread: x.T @ v
+# 18 us at 1 MiB; a 40x15 iteration 35 us squared, 200 us logistic), so
+# neither saves anything.  Fit time with/without the working set, synth at
+# 0.1 lambda_max: 0.12 MiB 1.01-1.02x, 0.98 MiB 0.77-0.99x, 1.95 MiB
+# 0.77-0.92x, 3.05 MiB 0.65-0.77x.
 _GAP_SAFE_MIN_BYTES = 1 << 20
 
 
@@ -115,12 +118,34 @@ def objective_scale(dataset: Dataset, weights, kind: LossKind) -> float:
     return max(1.0, float(np.dot(w, loss_value(kind, dataset.y, zero_margins))))
 
 
+def _times_support(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ b for coefficients b of shape (d,) or (d, T).
+
+    When x holds at least _GAP_SAFE_MIN_BYTES and at most half the rows of
+    b hold a nonzero (in any column), only the columns of x under those rows
+    are multiplied, gathered one _column_blocks block at a time so no copy
+    larger than a block is made; the sum then rounds in another order than
+    x @ b.  Otherwise this is x @ b itself.
+    """
+    if x.nbytes < _GAP_SAFE_MIN_BYTES:
+        return x @ b
+    rows = np.flatnonzero(b if b.ndim == 1 else b.any(axis=1))
+    if 2 * rows.size > b.shape[0]:
+        return x @ b
+    out = np.zeros(x.shape[:1] + b.shape[1:])
+    # x[:, :rows.size] is a view of the gathered matrix's shape
+    for block in _column_blocks(x[:, :rows.size]):
+        cols = rows[block]
+        out += x[:, cols] @ b[cols]
+    return out
+
+
 def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> float:
     w = _check_weights(weights, (dataset.n,))
     b = np.asarray(b, dtype=float)
     if b.shape != (dataset.d,):
         raise ValueError(f"b must have length {dataset.d}, got shape {b.shape}")
-    margins = dataset.x @ b + b0
+    margins = _times_support(dataset.x, b) + b0
     return float(np.dot(w, loss_value(kind, dataset.y, margins)) + lam * np.sum(np.abs(b)))
 
 
@@ -186,7 +211,7 @@ def recover_dual(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: f
     w = _check_weights(weights, (dataset.n,))
     _check_labels(kind, dataset.y)
     b = np.asarray(b, dtype=float)
-    margins = dataset.x @ b + b0
+    margins = _times_support(dataset.x, b) + b0
     return _repair_from_margins(kind, dataset.y, dataset.x, w, lam, margins)[0]
 
 
@@ -383,7 +408,9 @@ def _fit_columns(
     union.  Step sizes stay those of the full problem.  A column certifies
     its gap on the full matrix: when a column of the reduced problem
     converges, every feature rejoins and the check is repeated, and the fit
-    goes on over all features without a working set.
+    goes on over all features without a working set.  At that size the
+    products with the coefficients also skip their zero rows
+    (_times_support).
     """
     if config is None:
         config = FitConfig()
@@ -431,7 +458,7 @@ def _fit_columns(
         b = np.zeros((d, batch))
         b0 = [0.0] * batch
 
-    t0 = x @ b
+    t0 = _times_support(x, b)
     b0 = intercept(t0, b0)[0]
     v = b.copy()
     t0_v = t0.copy()
@@ -481,7 +508,7 @@ def _fit_columns(
         step = np.array([1.0 / lk for lk in lip])
         b_new = _soft_threshold(v - step * grad, lam * step)
         diff = b_new - v
-        t0_new = xa @ b_new
+        t0_new = _times_support(xa, b_new)
         f_new = smooth(t0_new, b0_v).tolist()
         along = np.vecdot(grad, diff, axis=0).tolist()
         sq = np.vecdot(diff, diff, axis=0).tolist()
@@ -505,7 +532,7 @@ def _fit_columns(
                 b_full, v_full = np.zeros((d, len(ids))), np.zeros((d, len(ids)))
                 b_full[cols], v_full[cols] = b, v
                 b, v, xa, screening = b_full, v_full, x, False
-                t0, t0_v = x @ b, x @ v
+                t0, t0_v = _times_support(x, b), _times_support(x, v)
                 obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
                 continue
             if xa is x:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ from drfs.solver import (
     _EQ_NEWTON_FLOOR,
     _column_square_sums,
     _intercept_logistic,
+    _times_support,
     objective_scale,
 )
+from drfs import uncertainty
 from drfs.uncertainty import COLUMN_BLOCK_BYTES
 
 SQ = LossKind.SQUARED
@@ -329,12 +332,16 @@ class TestGapSafeWorkingSet:
         w = np.random.default_rng(seed + 1).uniform(1.0 - delta, 1.0 + delta, size=n)
         lam = ratio * lambda_max(ds, w, kind)
         calls: list = []
+        gap_tol = 1e-9 * objective_scale(ds, w, kind)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
             _record_rule(mp, calls)
             model = fit_weighted_erm(ds, w, kind, lam)
-        _assert_certified_on_full_matrix(ds, w, kind, lam, model,
-                                         1e-9 * objective_scale(ds, w, kind))
+            # duality_gap takes the support products the fit took
+            _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol)
+        # the dense x @ b sums in another order
+        _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol,
+                                         1e-13 * objective_scale(ds, w, kind))
         dropped = [j for cols, survivors in calls for j in np.setdiff1d(cols, survivors)]
         plain = fit_weighted_erm(ds, w, kind, lam)
         assert np.all(plain.b[dropped] == 0.0)
@@ -425,6 +432,88 @@ class TestGapSafeWorkingSet:
         model = fit_weighted_erm(ds, w, LOG, lam)
         _assert_certified_on_full_matrix(ds, w, LOG, lam, model,
                                          1e-9 * objective_scale(ds, w, LOG))
+
+
+class TestTimesSupport:
+    """_times_support is x @ b; on a large x with at most half the rows of b
+    nonzero it multiplies only the columns under them, one block at a time."""
+
+    N, D = 700, 200  # 1.07 MiB of x, just over _GAP_SAFE_MIN_BYTES
+
+    def operands(self, rows, batch=None, n=N, d=D):
+        rng = np.random.default_rng(len(rows))
+        x = np.asfortranarray(rng.standard_normal((n, d)))
+        b = np.zeros((d,) if batch is None else (d, batch))
+        b[rows] = rng.standard_normal((len(rows),) + b.shape[1:])
+        return x, b
+
+    @staticmethod
+    def assert_rounds_like_product(x, b, got):
+        """got agrees with x @ b to 1e-13 of the sum of the products' magnitudes."""
+        assert np.all(np.abs(got - x @ b) <= 1e-13 * (np.abs(x) @ np.abs(b)))
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_dense_product_keeps_its_bits(self, batch):
+        """Below the size threshold, or with more than half the rows nonzero,
+        the result is x @ b bit for bit."""
+        small_x, small_b = self.operands([2, 9], batch, n=40, d=15)
+        assert small_x.nbytes < solver._GAP_SAFE_MIN_BYTES
+        np.testing.assert_array_equal(_times_support(small_x, small_b), small_x @ small_b)
+        x, b = self.operands(np.arange(self.D // 2 + 1), batch)
+        assert x.nbytes >= solver._GAP_SAFE_MIN_BYTES
+        np.testing.assert_array_equal(_times_support(x, b), x @ b)
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    @pytest.mark.parametrize("block_columns", [None, 3])
+    def test_support_product_matches(self, monkeypatch, batch, block_columns):
+        if block_columns is not None:
+            monkeypatch.setattr(uncertainty, "COLUMN_BLOCK_BYTES", block_columns * 8 * self.N)
+        for rows in ([7], np.arange(1, self.D, 7), np.arange(self.D // 2)):
+            x, b = self.operands(rows, batch)
+            got = _times_support(x, b)
+            assert got.shape == (x @ b).shape
+            self.assert_rounds_like_product(x, b, got)
+        if batch is not None:  # a row nonzero in only one column joins the union
+            b[self.D - 1, -1] = 1.0
+            self.assert_rounds_like_product(x, b, _times_support(x, b))
+
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_zero_coefficients(self, batch):
+        """An all-zero b gives zeros; a -0.0 entry is skipped (an inf under it
+        would make x @ b NaN), and a NaN entry reaches the output."""
+        x, b = self.operands([], batch)
+        got = _times_support(x, b)
+        assert got.shape == (self.N,) + b.shape[1:]
+        np.testing.assert_array_equal(got, 0.0)
+        x, b = self.operands([4, 50], batch)
+        x[:, 11] = np.inf
+        b[11] = -0.0
+        got = _times_support(x, b)
+        assert np.all(np.isfinite(got))
+        x[:, 11] = 0.0
+        self.assert_rounds_like_product(x, b, got)
+        if batch is None:
+            b[11] = np.nan
+            assert np.all(np.isnan(_times_support(x, b)))
+        else:
+            b[11, 1] = np.nan
+            got = _times_support(x, b)
+            assert np.all(np.isnan(got[:, 1])) and np.all(np.isfinite(got[:, 0]))
+
+    def test_gathers_one_block_at_a_time(self):
+        """The gathered columns never take more than a block at once."""
+        n, d = 1000, 200
+        x, b = self.operands(np.arange(d // 2 - 1), n=n, d=d)
+        assert x.nbytes >= solver._GAP_SAFE_MIN_BYTES
+        assert (d // 2 - 1) * 8 * n > 2 * COLUMN_BLOCK_BYTES  # a one-shot gather would not fit
+        tracemalloc.start()
+        try:
+            got = _times_support(x, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * COLUMN_BLOCK_BYTES + got.nbytes
+        self.assert_rounds_like_product(x, b, got)
 
 
 class TestFitColumns:

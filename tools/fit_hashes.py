@@ -15,6 +15,14 @@ acceptance gate's 12 verify configurations (the 40x15 problems, lambda in
 {0.1, 0.3} * lambda_max, V in {0.01, 0.1, 1}, seed 99) at 50 trials, whose
 draws the verifier solves in batches.  Running it on two trees and diffing
 the output shows whether any of those results changed by a single bit.
+
+The `large` line covers inputs over the solver's 1 MiB threshold, whose
+fits may round differently in the last bits between trees: it hashes
+supports and removed sets, not floats.  The problems are standardized
+2000x200 synth draws (squared seed 201, logistic seed 203, the grid
+benchmark's), fit at lambda in {0.01, 0.1, 0.3} * lambda_max and screened
+at V in {0, 0.1, 1}; it hashes each fit's support and each screen's
+removed mask.
 """
 
 import hashlib
@@ -59,6 +67,12 @@ PROBLEMS = [
 ]
 
 
+LARGE = [
+    ("squared2000", problem(Task.REGRESSION, 2000, 200, 10, 0.5, 201), SQ),
+    ("logistic2000", problem(Task.BINARY, 2000, 200, 10, 0.5, 203), LOG),
+]
+
+
 def fits(dataset, kind, lam):
     w1 = np.ones(dataset.n)
     for config in (None, FitConfig(gap_tolerance=1e-10)):
@@ -92,6 +106,19 @@ def verify_outcomes():
                                                   seed=99, reference_model=model)
 
 
+def large_outcomes():
+    """The support of each LARGE fit, then the removed mask of each screen."""
+    for _, dataset, kind in LARGE:
+        w1 = np.ones(dataset.n)
+        lam_max = lambda_max(dataset, w1, kind)
+        for ratio in (0.01, 0.1, 0.3):
+            model = fit_weighted_erm(dataset, w1, kind, ratio * lam_max)
+            yield model.support
+            for v in (0.0, 0.1, 1.0):
+                box = WeightBox(dataset.n, delta_from_v(v, dataset.n))
+                yield screen(dataset, build_reference(dataset, model, box), box).removed
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, dataset, kind in PROBLEMS:
@@ -108,6 +135,10 @@ def main() -> None:
     for outcome in verify_outcomes():
         outcomes.update(outcome.to_json().encode())
     print("verify", outcomes.hexdigest())
+    large = hashlib.sha256()
+    for part in large_outcomes():
+        large.update(np.asarray(part, dtype=np.int64).tobytes())
+    print("large", large.hexdigest())
 
 
 if __name__ == "__main__":
