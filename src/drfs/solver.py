@@ -125,9 +125,10 @@ def _times_support(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     b hold a nonzero (in any column), only the columns of x under those rows
     are multiplied, gathered one _column_blocks block at a time so no copy
     larger than a block is made; the sum then rounds in another order than
-    x @ b.  Otherwise this is x @ b itself.
+    x @ b.  Otherwise this is x @ b itself, which also raises on a b whose
+    length is not x's column count.
     """
-    if x.nbytes < _GAP_SAFE_MIN_BYTES:
+    if x.nbytes < _GAP_SAFE_MIN_BYTES or b.shape[:1] != x.shape[1:]:
         return x @ b
     rows = np.flatnonzero(b if b.ndim == 1 else b.any(axis=1))
     if 2 * rows.size > b.shape[0]:

@@ -474,6 +474,7 @@ class TestTimesSupport:
             assert got.shape == (x @ b).shape
             self.assert_rounds_like_product(x, b, got)
         if batch is not None:  # a row nonzero in only one column joins the union
+            x, b = self.operands([7], batch)
             b[self.D - 1, -1] = 1.0
             self.assert_rounds_like_product(x, b, _times_support(x, b))
 
@@ -499,6 +500,19 @@ class TestTimesSupport:
             b[11, 1] = np.nan
             got = _times_support(x, b)
             assert np.all(np.isnan(got[:, 1])) and np.all(np.isfinite(got[:, 0]))
+
+    @pytest.mark.parametrize("length", [D - 1, D + 1])
+    def test_mismatched_length_raises(self, length):
+        """A b of the wrong length fails like x @ b, not with a product over
+        the columns its nonzeros happen to index."""
+        x, _ = self.operands([])
+        b = np.zeros(length)
+        b[3] = 1.0
+        with pytest.raises(ValueError):
+            _times_support(x, b)
+        ds = make(x, np.ones(self.N))
+        with pytest.raises(ValueError):
+            recover_dual(ds, np.ones(self.N), SQ, 1.0, b, 0.0)
 
     def test_gathers_one_block_at_a_time(self):
         """The gathered columns never take more than a block at once."""

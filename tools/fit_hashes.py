@@ -17,12 +17,11 @@ draws the verifier solves in batches.  Running it on two trees and diffing
 the output shows whether any of those results changed by a single bit.
 
 The `large` line covers inputs over the solver's 1 MiB threshold, whose
-fits may round differently in the last bits between trees: it hashes
-supports and removed sets, not floats.  The problems are standardized
-2000x200 synth draws (squared seed 201, logistic seed 203, the grid
-benchmark's), fit at lambda in {0.01, 0.1, 0.3} * lambda_max and screened
-at V in {0, 0.1, 1}; it hashes each fit's support and each screen's
-removed mask.
+fits may round differently in the last bits between trees, so it hashes
+each fit's support and each screen's removed mask, not floats.  The
+problems are standardized 2000x200 synth draws (squared seed 201, logistic
+seed 203, the grid benchmark's), fit at lambda in {0.01, 0.1, 0.3} *
+lambda_max and screened at V in {0, 0.1, 1}.
 """
 
 import hashlib
