@@ -24,17 +24,13 @@ from .oracle import verify_no_false_elimination
 from .screening import build_reference, screen
 from .solver import (DEFAULT_MAX_ITERATIONS, ConvergenceError, FitConfig, FittedModel,
                      fit_weighted_erm, lambda_max)
-from .uncertainty import WeightBox, delta_from_v
+from .uncertainty import ShiftOverflowError, WeightBox, delta_from_v
 
 DEFAULT_V_GRID = (0.0,) + tuple(10.0 ** (k / 2.0) for k in range(-10, 1))
 DEFAULT_LAMBDA_RATIOS = tuple(10.0 ** (-k / 2.0) for k in (4, 3, 2, 1, 0))
 
 GRID_COLUMNS = ("V", "delta", "lambda_ratio", "lambda",
                 "removed_count", "removed_ratio", "gap_at_reference")
-
-
-class ShiftOverflowError(ValueError):
-    """Requested uncertainty maps to delta >= 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,17 +166,10 @@ def _resolve_lambda(args: argparse.Namespace, dataset: Dataset, weights: np.ndar
     return args.lambda_ratio * lambda_max(dataset, weights, kind)
 
 
-def _delta_for_v(v: float, n: int) -> float:
-    try:
-        return delta_from_v(v, n)
-    except ValueError as exc:
-        raise ShiftOverflowError(str(exc)) from None
-
-
 def _resolve_delta(args: argparse.Namespace, n: int) -> float:
     delta = getattr(args, "delta", None)
     if delta is None:
-        return _delta_for_v(args.V if args.V is not None else 0.0, n)
+        return delta_from_v(args.V if args.V is not None else 0.0, n)
     if not 0.0 <= delta < 1.0:
         raise ShiftOverflowError(f"delta must be in [0, 1), got {delta}")
     return delta
@@ -257,7 +246,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     kind = _loss_kind(args)
     if any(not 0.0 < r <= 1.0 for r in args.lambda_ratios):
         raise ValueError("lambda ratios must lie in (0, 1]")
-    shifts = [(v, _delta_for_v(v, dataset.n)) for v in sorted(args.v_values)]
+    shifts = [(v, delta_from_v(v, dataset.n)) for v in sorted(args.v_values)]
     config = _fit_config(args)
     lam_max = lambda_max(dataset, np.ones(dataset.n), kind)
     rows = []

@@ -277,10 +277,16 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationReport]:
     exact zeros and is listed in the report, so column j of the result is
     still input feature j; a zero column is never active and screen()
     certifies it removed with bound 0.  The report's means and stds are per
-    input column.  The response is left untouched.
+    input column.  The response is left untouched.  A column whose mean or
+    std overflows raises ValueError.
     """
     means = dataset.x.mean(axis=0)
     stds = dataset.x.std(axis=0, ddof=1)
+    bad = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
+    if bad.size:
+        j = bad[0]
+        raise ValueError(f"column {j} overflows in standardize: mean {float(means[j])!r}, "
+                         f"std {float(stds[j])!r}; rescale the features")
     constant = stds <= CONSTANT_COLUMN_STD
     if np.all(constant):
         raise ValueError("all columns are constant; nothing to standardize")

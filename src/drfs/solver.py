@@ -226,15 +226,13 @@ def lambda_max(dataset: Dataset, weights, kind: LossKind) -> float:
     y = dataset.y
     if kind is LossKind.SQUARED:
         b0 = float(np.dot(w, y) / np.sum(w))
-        corr = dataset.x.T @ (w * (y - b0))
-        return 2.0 * float(np.max(np.abs(corr)))
-    pos = y == 1.0
-    neg = y == -1.0
-    if not (np.all(pos | neg) and np.any(pos) and np.any(neg)):
-        raise ValueError("logistic lambda_max requires both classes present in {-1, +1}")
-    b0 = math.log(float(np.sum(w[pos]))) - math.log(float(np.sum(w[neg])))
-    alpha = y / (np.exp(y * b0) + 1.0)
-    corr = dataset.x.T @ (w * alpha)
+    else:
+        pos = y == 1.0
+        neg = y == -1.0
+        if not (np.all(pos | neg) and np.any(pos) and np.any(neg)):
+            raise ValueError("logistic lambda_max requires both classes present in {-1, +1}")
+        b0 = math.log(float(np.sum(w[pos]))) - math.log(float(np.sum(w[neg])))
+    corr = dataset.x.T @ (w * _dual_from_margin(kind, y, b0))
     return float(np.max(np.abs(corr)))
 
 
@@ -396,11 +394,14 @@ def _fit_columns(
     coefficients: the products with x, the losses and the dot products are
     computed for all columns together, while each column keeps its own step
     size, backtracking, momentum, adaptive restart, intercept, best iterate
-    and stopping test, as Python floats.  A certified column leaves the
-    batch; the columns share the iteration count and the schedule of gap
-    checks.  At T = 1 these are the float operations of a fit of that column
-    alone.  For T > 1 the matrix products and the strided dot products may
-    round differently in the last bits.
+    and stopping test, as Python floats.  The columns share the iteration
+    count and the schedule of gap checks.  A column leaves the batch when it
+    certifies at a check, or with a ConvergenceError when the iterations run
+    out or its step search gives up (lip past 1e22 times its floor).  At
+    T = 1 these are the float operations of a fit of that column alone.  For
+    T > 1 the matrix products and the strided dot products may round
+    differently in the last bits.  An overflowing step-size floor or start
+    objective raises ValueError.
 
     When x holds at least _GAP_SAFE_MIN_BYTES, each gap check also applies
     the Gap Safe rule (Fercoq, Gramfort & Salmon, ICML 2015) to the working
@@ -465,11 +466,10 @@ def _fit_columns(
     t0_v = t0.copy()
     tk = [1.0] * batch
     screening = x.nbytes >= _GAP_SAFE_MIN_BYTES
-    norms, ball = np.empty((0, batch)), [0.0] * batch  # per column, used while screening
+    norms = np.empty((0, batch))  # per column, used while screening
     if screening:
         w_sq_sums, norms = _column_square_sums(x, w, w * w)
         norms = np.sqrt(norms)
-        ball = [_ball_factor(nu, w_min) for w_min in w.min(axis=0).tolist()]
     else:
         (w_sq_sums,) = _column_square_sums(x, w)
     l_min = [max(nu * m, 1e-12) for m in w_sq_sums.max(axis=0).tolist()]
@@ -479,48 +479,44 @@ def _fit_columns(
     cols = np.arange(d)
     xa = x
     obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
+    if not all(map(math.isfinite, l_min + obj_curr)):
+        raise ValueError("the fit overflows: the squared features or the starting losses "
+                         "exceed the float range; rescale the features or labels")
     # the best iterate of each column, from checks on the full matrix
     best_gap, best_b0 = [math.inf] * batch, [0.0] * batch
     best_b, best_alpha = np.zeros((d, batch)), np.zeros((n, batch))
     ids = list(range(batch))  # each batch column's index into weights
     results: list = [None] * batch
+    finished: set[int] = set()  # columns with a result, until drop_finished
 
-    def give_up(k: int, message: str) -> None:
-        model = FittedModel(b=best_b[:, k].copy(), b0=best_b0[k], alpha=best_alpha[:, k].copy(),
-                            lam=lam, weights=w[:, k], gap=best_gap[k], loss_kind=kind,
-                            iterations=iterations)
-        results[ids[k]] = ConvergenceError(message, model)
+    def finish(k: int, message: str | None = None) -> None:
+        """Record column k's result: without a message, the FittedModel of the
+        current iterate, certified at this check; with one, a ConvergenceError
+        carrying the best full-matrix iterate."""
+        if message is None:
+            b_k, b0_k, alpha_k, gap_k = b[:, k], b0[k], alpha[:, k], gap[k]
+        else:
+            b_k, b0_k, alpha_k, gap_k = best_b[:, k], best_b0[k], best_alpha[:, k], best_gap[k]
+        model = FittedModel(b=b_k.copy(), b0=b0_k, alpha=alpha_k.copy(), lam=lam,
+                            weights=w[:, k], gap=gap_k, loss_kind=kind, iterations=iterations)
+        results[ids[k]] = model if message is None else ConvergenceError(message, model)
+        finished.add(k)
 
-    def keep_columns(keep: list[int]) -> None:
+    def drop_finished() -> None:
+        """Remove the finished columns from every per-column array and list."""
         nonlocal yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms
         nonlocal ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0
-        nonlocal ball
+        keep = [k for k in range(len(ids)) if k not in finished]
         yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms = (
             a[..., keep] for a in (yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms))
-        ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0, ball = (
+        ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0 = (
             [a[k] for k in keep]
             for a in (ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap,
-                      best_b0, ball))
-
-    # one proximal gradient step from v at step sizes 1/lip, and whether each
-    # column's step passes the sufficient-decrease test; reads the iteration's
-    # v, grad, f_v and b0_v
-    def prox_step(lip: list[float]) -> tuple[np.ndarray, np.ndarray, list[bool]]:
-        step = np.array([1.0 / lk for lk in lip])
-        b_new = _soft_threshold(v - step * grad, lam * step)
-        diff = b_new - v
-        t0_new = _times_support(xa, b_new)
-        f_new = smooth(t0_new, b0_v).tolist()
-        along = np.vecdot(grad, diff, axis=0).tolist()
-        sq = np.vecdot(diff, diff, axis=0).tolist()
-        accepted = []
-        for k, lk in enumerate(lip):
-            bound = f_v[k] + along[k] + 0.5 * lk * sq[k]
-            accepted.append(f_new[k] <= bound + 1e-12 * max(1.0, abs(f_v[k])))
-        return b_new, t0_new, accepted
+                      best_b0))
+        finished.clear()
 
     iterations = 0
-    while True:
+    while ids:
         if iterations % _CHECK_EVERY == 0 or iterations >= config.max_iterations:
             alpha, corr = _repair_from_margins(kind, yc, xa, w, lam, t0 + b0)
             dual = _dual_value(kind, yc, w, alpha)
@@ -542,52 +538,52 @@ def _fit_columns(
                 best_alpha[:, better] = alpha[:, better]
                 for k in better:
                     best_gap[k], best_b0[k] = gap[k], b0[k]
-            stay = []
+            survivors = []
+            w_min = w.min(axis=0).tolist() if screening else None
             for k, done in enumerate(certified):
                 if done:
-                    results[ids[k]] = FittedModel(
-                        b=b[:, k].copy(), b0=b0[k], alpha=alpha[:, k].copy(), lam=lam,
-                        weights=w[:, k], gap=gap[k], loss_kind=kind, iterations=iterations,
-                    )
+                    finish(k)
                 elif out_of_iterations:
-                    give_up(k, f"gap {best_gap[k]:.3e} > tolerance {gap_tol[k]:.3e} "
-                               f"after {iterations} iterations")
-                else:
-                    stay.append(k)
-            if not stay:
-                return results
-            if screening:
-                survivors = np.unique(np.concatenate([
-                    _gap_safe_survivors(cols, corr[:, k], norms[cols, k],
-                                        math.sqrt(ball[k] * gap[k]), lam, b[:, k], v[:, k])
-                    for k in stay
-                ]))
-            if len(stay) < len(ids):
-                keep_columns(stay)
-            if screening and 2 * survivors.size <= cols.size:
-                keep = np.searchsorted(cols, survivors)
-                b, v, cols = b[keep], v[keep], survivors
-                xa = x[:, cols]
+                    finish(k, f"gap {best_gap[k]:.3e} > tolerance {gap_tol[k]:.3e} "
+                              f"after {iterations} iterations")
+                elif screening:
+                    survivors.append(_gap_safe_survivors(
+                        cols, corr[:, k], norms[cols, k],
+                        math.sqrt(_ball_factor(nu, w_min[k]) * gap[k]), lam, b[:, k], v[:, k]))
+            if finished:
+                drop_finished()
+                if not ids:
+                    break
+            if survivors:
+                union = np.unique(np.concatenate(survivors))
+                if 2 * union.size <= cols.size:
+                    keep = np.searchsorted(cols, union)
+                    b, v, cols = b[keep], v[keep], union
+                    xa = x[:, cols]
 
         b0_v, margins_v, sig_v = intercept(t0_v, b0)
         f_v = np.vecdot(w, _loss(kind, yc, margins_v), axis=0).tolist()
         grad = xa.T @ (w * _derivative(kind, yc, margins_v, sig_v))
 
-        b_new, t0_new, accepted = prox_step(lip)
-        failed = []
-        while not all(accepted):
-            retry = [k for k, ok in enumerate(accepted) if not ok]
+        # the proximal gradient step from v at step sizes 1/lip, recomputed
+        # until every live column passes its sufficient-decrease test
+        while True:
+            step = np.array([1.0 / lk for lk in lip])
+            b_new = _soft_threshold(v - step * grad, lam * step)
+            diff = b_new - v
+            t0_new = _times_support(xa, b_new)
+            f_new = smooth(t0_new, b0_v).tolist()
+            along = np.vecdot(grad, diff, axis=0).tolist()
+            sq = np.vecdot(diff, diff, axis=0).tolist()
+            retry = [k for k, lk in enumerate(lip) if k not in finished
+                     and not f_new[k] <= (f_v[k] + along[k] + 0.5 * lk * sq[k]
+                                          + 1e-12 * max(1.0, abs(f_v[k])))]
+            if not retry:
+                break
             for k in retry:
                 lip[k] *= 2.0
-                if lip[k] > 1e22 * l_min[k]:
-                    give_up(k, "backtracking failed to find a valid step")
-                    failed.append(k)
-                    accepted[k] = True
-            b_try, t0_try, accepted_try = prox_step(lip)
-            for k in retry:
-                if k not in failed:
-                    b_new[:, k], t0_new[:, k] = b_try[:, k], t0_try[:, k]
-                    accepted[k] = accepted_try[k]
+                if lip[k] / l_min[k] > 1e22:
+                    finish(k, "backtracking failed to find a valid step")
 
         t_next = [0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) for t in tk]
         momentum = np.array([(t - 1.0) / t_n for t, t_n in zip(tk, t_next)])
@@ -607,7 +603,6 @@ def _fit_columns(
         obj_curr = obj_new
         lip = [max(lm, lk * 0.95) for lm, lk in zip(l_min, lip)]
         iterations += 1
-        if failed:
-            if len(failed) == len(ids):
-                return results
-            keep_columns([k for k in range(len(ids)) if k not in failed])
+        if finished:
+            drop_finished()
+    return results

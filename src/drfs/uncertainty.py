@@ -25,6 +25,10 @@ CORNER_CAP = 12
 COLUMN_BLOCK_BYTES = 1 << 18
 
 
+class ShiftOverflowError(ValueError):
+    """Requested uncertainty level is not representable: it needs delta >= 1."""
+
+
 @dataclass(frozen=True)
 class WeightBox:
     """Weight vectors in [1-delta, 1+delta]^n summing to n."""
@@ -45,16 +49,19 @@ def _moving(n: int) -> int:
 
 
 def delta_from_v(v: float, n: int) -> float:
-    """Per-instance bound delta realizing total-shift budget v = max ||w - 1||_1."""
+    """Per-instance bound delta realizing total-shift budget v = max ||w - 1||_1.
+
+    Raises ShiftOverflowError when no delta in [0, 1) realizes v.
+    """
     if not v >= 0:
-        raise ValueError(f"V must be >= 0, got {v}")
+        raise ShiftOverflowError(f"V must be >= 0, got {v}")
     if v == 0:
         return 0.0
     if n < 2:
-        raise ValueError("V > 0 is not representable with a single instance")
+        raise ShiftOverflowError("V > 0 is not representable with a single instance")
     delta = v / _moving(n)
     if delta >= 1.0:
-        raise ValueError(
+        raise ShiftOverflowError(
             f"uncertainty level exceeds representable shift: V={v} needs delta={delta} >= 1"
         )
     return delta

@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drfs
 from drfs import Dataset, Task, oracle, synth
 from drfs.cli import build_parser, main
 from drfs.data import serialize_libsvm
@@ -269,6 +273,41 @@ def test_unrepresentable_shift_exit_4(command, v, reg_file, capsys):
 def test_delta_out_of_range_exit_4(delta, reg_file, capsys):
     assert main(["screen", reg_file, "--lambda-ratio", "0.3", "--delta", delta]) == 4
     assert "delta" in capsys.readouterr().err
+
+
+_RUN_COMMANDS = """
+import json, sys
+from drfs.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+@pytest.mark.parametrize("feature_scale,label_scale,flags,message", [
+    (1e159, 1.0, ["--no-standardize"], "the fit overflows: "),
+    (1.0, 1e200, ["--no-standardize"], "the fit overflows: "),
+    (1e159, 1.0, [], "column 0 overflows in standardize: "),
+], ids=["features", "labels", "standardize"])
+def test_overflowing_input_exit_3(feature_scale, label_scale, flags, message, tmp_path):
+    """Squares of features or labels past the float range once made the fit's
+    step search spin forever or fail through a NaN bound; every command now
+    exits 3.  A separate process with a timeout turns a hang into a failure."""
+    rng = np.random.default_rng(0)
+    dataset = Dataset(x=rng.uniform(-1, 1, (20, 3)) * feature_scale,
+                      y=rng.standard_normal(20) * label_scale, task=Task.REGRESSION)
+    path = tmp_path / "huge.libsvm"
+    path.write_text(serialize_libsvm(dataset), encoding="utf-8")
+    fit = ["--lambda-ratio", "0.5", "--max-iter", "50"]
+    commands = [["solve", str(path), *flags, *fit], ["screen", str(path), *flags, *fit],
+                ["grid", str(path), *flags, "--max-iter", "50"],
+                ["verify", str(path), *flags, *fit]]
+    src = str(Path(drfs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(done.stdout) == [3] * len(commands)
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == len(commands)
+    assert all(line.startswith("error: " + message) for line in errors)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -206,6 +206,16 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(ds)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_column_is_error(self):
+        """A std that overflows would make the column all zeros; the first such
+        column is named instead."""
+        x = np.random.default_rng(0).uniform(-1, 1, size=(20, 3))
+        x[:, 1:] *= 1e159
+        ds = Dataset(x=x, y=np.zeros(20), task=Task.REGRESSION)
+        with pytest.raises(ValueError, match="column 1 overflows in standardize: .*std inf"):
+            standardize(ds)
+
     def test_moments(self):
         rng = np.random.default_rng(1)
         ds = Dataset(x=rng.uniform(2, 9, size=(50, 6)), y=np.zeros(50), task=Task.REGRESSION)

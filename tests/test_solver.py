@@ -621,6 +621,61 @@ class TestFitColumns:
                                 (np.zeros(reg40.d + 1), 0.0))
 
 
+class TestStepSearchGiveUp:
+    """A column whose step search fails leaves the batch as a ConvergenceError
+    carrying its best iterate; the other columns go on as fits of their own."""
+
+    @staticmethod
+    def _nan_loss_in_column(monkeypatch, column: int, after: int) -> None:
+        """Make _loss NaN in batch column `column` from call `after` + 1 on."""
+        loss = solver._loss
+        calls = []
+
+        def patched(kind, y, t):
+            out = loss(kind, y, t)
+            calls.append(None)
+            if len(calls) > after and out.shape[1] > column:
+                out[:, column] = np.nan
+            return out
+
+        monkeypatch.setattr(solver, "_loss", patched)
+
+    @pytest.mark.parametrize("kind,fixture", [(SQ, "reg40"), (LOG, "clf40")])
+    def test_failed_column_leaves_the_batch(self, monkeypatch, kind, fixture, request):
+        ds = request.getfixturevalue(fixture)
+        weights = np.random.default_rng(4).uniform(0.8, 1.2, size=(ds.n, 2))
+        lam = 0.3 * lambda_max(ds, np.ones(ds.n), kind)
+        alone = fit_weighted_erm(ds, weights[:, 0], kind, lam)
+        # the start objective stays finite; the NaN reaches column 1 in the
+        # step search of iteration 0
+        self._nan_loss_in_column(monkeypatch, 1, 1)
+        first, second = solver._fit_columns(ds, weights, kind, lam)
+        assert isinstance(first, solver.FittedModel)
+        gap_tol = 1e-9 * objective_scale(ds, weights[:, 0], kind)
+        # a column of a wider batch sums in another order than duality_gap
+        _assert_certified_on_full_matrix(ds, weights[:, 0], kind, lam, first, gap_tol,
+                                         1e-13 * objective_scale(ds, weights[:, 0], kind))
+        np.testing.assert_array_equal(first.support, alone.support)
+        np.testing.assert_allclose(first.b, alone.b, atol=1e-6)
+        assert isinstance(second, ConvergenceError)
+        assert str(second) == "backtracking failed to find a valid step"
+        # given up in iteration 0, carrying the check of the cold start
+        model = second.model
+        assert model.iterations == 0
+        assert np.all(model.b == 0.0)
+        np.testing.assert_array_equal(model.weights, weights[:, 1])
+        _assert_certified_on_full_matrix(ds, weights[:, 1], kind, lam, model, None)
+
+    def test_one_column_fit_raises(self, monkeypatch, reg40):
+        lam = 0.3 * lambda_max(reg40, np.ones(reg40.n), SQ)
+        self._nan_loss_in_column(monkeypatch, 0, 1)
+        with pytest.raises(ConvergenceError, match="backtracking failed") as excinfo:
+            fit_weighted_erm(reg40, np.ones(reg40.n), SQ, lam)
+        model = excinfo.value.model
+        assert model.iterations == 0
+        assert math.isfinite(model.gap)
+        _assert_certified_on_full_matrix(reg40, np.ones(reg40.n), SQ, lam, model, None)
+
 @pytest.mark.parametrize("n,d", [(40, 15), (700, 150)])
 def test_column_square_sums(n, d):
     """One column block reproduces (x*x).T @ w bit for bit; several agree to rounding."""

@@ -14,6 +14,7 @@ from drfs import (
 from drfs.oracle import brute_force_max
 from drfs.uncertainty import (
     COLUMN_BLOCK_BYTES,
+    ShiftOverflowError,
     _sorted_pairing,
     _squared_half_sums,
     contains,
@@ -40,8 +41,13 @@ class TestConversions:
                 assert delta_from_v(v_from_delta(box), n) == pytest.approx(delta, abs=1e-15)
 
     def test_overflow(self):
-        with pytest.raises(ValueError, match="exceeds representable"):
+        with pytest.raises(ShiftOverflowError, match="exceeds representable"):
             delta_from_v(10.0, 4)
+        with pytest.raises(ShiftOverflowError, match="V must be >= 0"):
+            delta_from_v(-1.0, 4)
+        with pytest.raises(ShiftOverflowError, match="single instance"):
+            delta_from_v(0.5, 1)
+        assert issubclass(ShiftOverflowError, ValueError)
 
     def test_box_validation(self):
         with pytest.raises(ValueError):

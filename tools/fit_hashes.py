@@ -22,6 +22,12 @@ each fit's support and each screen's removed mask, not floats.  The
 problems are standardized 2000x200 synth draws (squared seed 201, logistic
 seed 203, the grid benchmark's), fit at lambda in {0.01, 0.1, 0.3} *
 lambda_max and screened at V in {0, 0.1, 1}.
+
+The `batch` line covers batched fits over the threshold, as the verifier
+runs them on large files: per LARGE problem, one fit of 8 corner draws at
+V = 1 and lambda = 0.1 * lambda_max, warm-started from the w = 1 fit at
+the verifier's tolerance and iteration cap.  It hashes each column's
+support and whether it came back inconclusive.
 """
 
 import hashlib
@@ -47,6 +53,7 @@ from drfs import (  # noqa: E402
     synth,
     verify_no_false_elimination,
 )
+from drfs.oracle import RESOLVE_GAP_SCALE, RESOLVE_MAX_ITERATIONS  # noqa: E402
 from drfs.solver import objective_scale  # noqa: E402
 
 SQ, LOG = LossKind.SQUARED, LossKind.LOGISTIC
@@ -118,6 +125,25 @@ def large_outcomes():
                 yield screen(dataset, build_reference(dataset, model, box), box).removed
 
 
+def batch_outcomes():
+    """Per LARGE problem and column of one 8-draw batch: whether it was
+    inconclusive, then its support."""
+    for _, dataset, kind in LARGE:
+        w1 = np.ones(dataset.n)
+        lam = 0.1 * lambda_max(dataset, w1, kind)
+        uniform = fit_weighted_erm(dataset, w1, kind, lam)
+        box = WeightBox(dataset.n, delta_from_v(1.0, dataset.n))
+        rng = np.random.default_rng(5)
+        draws = np.stack([sample_feasible(box, rng, "corner") for _ in range(8)], axis=1)
+        config = FitConfig(gap_tolerance=RESOLVE_GAP_SCALE * objective_scale(dataset, w1, kind),
+                           max_iterations=RESOLVE_MAX_ITERATIONS)
+        for result in fit_weighted_erm(dataset, draws, kind, lam, config,
+                                       warm_start=(uniform.b, uniform.b0)):
+            inconclusive = isinstance(result, ConvergenceError)
+            yield [inconclusive]
+            yield (result.model if inconclusive else result).support
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, dataset, kind in PROBLEMS:
@@ -138,6 +164,10 @@ def main() -> None:
     for part in large_outcomes():
         large.update(np.asarray(part, dtype=np.int64).tobytes())
     print("large", large.hexdigest())
+    batch = hashlib.sha256()
+    for part in batch_outcomes():
+        batch.update(np.asarray(part, dtype=np.int64).tobytes())
+    print("batch", batch.hexdigest())
 
 
 if __name__ == "__main__":
