@@ -26,7 +26,7 @@ COLUMN_BLOCK_BYTES = 1 << 18
 
 
 class ShiftOverflowError(ValueError):
-    """Requested uncertainty level is not representable: it needs delta >= 1."""
+    """Requested uncertainty level is not representable by any delta in [0, 1)."""
 
 
 @dataclass(frozen=True)
