@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -629,12 +630,11 @@ class TestStepSearchGiveUp:
     def _nan_loss_in_column(monkeypatch, column: int, after: int) -> None:
         """Make _loss NaN in batch column `column` from call `after` + 1 on."""
         loss = solver._loss
-        calls = []
+        calls = itertools.count(1)
 
         def patched(kind, y, t):
             out = loss(kind, y, t)
-            calls.append(None)
-            if len(calls) > after and out.shape[1] > column:
+            if next(calls) > after and out.shape[1] > column:
                 out[:, column] = np.nan
             return out
 
@@ -649,7 +649,17 @@ class TestStepSearchGiveUp:
         # the start objective stays finite; the NaN reaches column 1 in the
         # step search of iteration 0
         self._nan_loss_in_column(monkeypatch, 1, 1)
+        checked = []  # the batch width at each gap check
+        repair = solver._repair_from_margins
+
+        def recording(kind, y, x, w, *rest):
+            checked.append(w.shape[1])
+            return repair(kind, y, x, w, *rest)
+
+        monkeypatch.setattr(solver, "_repair_from_margins", recording)
         first, second = solver._fit_columns(ds, weights, kind, lam)
+        # the failed column leaves at the end of its iteration, before the next check
+        assert checked[0] == 2 and set(checked[1:]) == {1}
         assert isinstance(first, solver.FittedModel)
         gap_tol = 1e-9 * objective_scale(ds, weights[:, 0], kind)
         # a column of a wider batch sums in another order than duality_gap
