@@ -280,8 +280,9 @@ def standardize(dataset: Dataset) -> tuple[Dataset, StandardizationReport]:
     input column.  The response is left untouched.  A column whose mean or
     std overflows raises ValueError.
     """
-    means = dataset.x.mean(axis=0)
-    stds = dataset.x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        means = dataset.x.mean(axis=0)
+        stds = dataset.x.std(axis=0, ddof=1)
     bad = np.flatnonzero(~np.isfinite(means) | ~np.isfinite(stds))
     if bad.size:
         j = bad[0]

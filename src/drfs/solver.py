@@ -36,16 +36,35 @@ DEFAULT_EQ_PER_ROW = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 _CHECK_EVERY = 5
 # The size of x from which the solver exploits sparsity, on both sides:
-# the Gap Safe working set drops columns the dual certifies zero, and
-# _times_support multiplies only the columns of x under nonzero
-# coefficients.  Below it the fit does exactly the float operations of a
-# dense one.  A full x.T @ v there costs less than an iteration's
-# interpreter overhead (2-CPU Intel VM, OpenBLAS on one thread: x.T @ v
-# 18 us at 1 MiB; a 40x15 iteration 35 us squared, 200 us logistic), so
-# neither saves anything.  Fit time with/without the working set, synth at
-# 0.1 lambda_max: 0.12 MiB 1.01-1.02x, 0.98 MiB 0.77-0.99x, 1.95 MiB
-# 0.77-0.92x, 3.05 MiB 0.65-0.77x.
+# the fit runs on prioritized working sets of the columns the Gap Safe rule
+# cannot certify zero, and _times_support multiplies only the columns of x
+# under nonzero coefficients.  Below it the fit does exactly the float
+# operations of a dense one.  A full x.T @ v there costs less than an
+# iteration's interpreter overhead (2-CPU Intel VM, OpenBLAS on one thread:
+# x.T @ v 18 us at 1 MiB; a 40x15 iteration 35 us squared, 200 us
+# logistic), so neither saves anything.  Fit time with/without working
+# sets, squared and logistic synth at 0.1 lambda_max, best of 7: 0.98 MiB
+# (1000x128, 2000x64) 1.08-1.32x, 1.95 MiB (2000x128) 0.85-0.86x,
+# 3.05 MiB (2000x200) 0.60-0.66x.
 _GAP_SAFE_MIN_BYTES = 1 << 20
+# The prioritized working set (see _fit_columns): at least
+# _WORKING_SET_LEAST columns, and a reduced problem rejoins the full matrix
+# once its gap is _REJOIN_RATIO of the best full-matrix one.  Chosen on the
+# screen_wide problems (10000x2000, seeds 1-2; fit seconds, best of 5
+# alternating runs) and the grid_cli ones (2000x200 at 4 lambda ratios,
+# seeds 1-2; total iterations, 1200 without working sets), same machine:
+#   least / ratio   10/0.3   20/0.3   30/0.3   50/0.3   30/0.2   30/0.5
+#   screen_wide s     1.20     0.91     0.86     0.89     0.99     1.13
+#   grid_cli its     1290     1160     1105     1115     1345     1075
+# Without any working set the screen_wide fits take 4.9 s.
+_WORKING_SET_LEAST = 30
+_REJOIN_RATIO = 0.3
+# The squared loss's dual shift leaves sum_i w_i alpha_i at rounding level:
+# the weighted sum, the total weight and the residual's own sum each round
+# by up to n u sum_i w_i |alpha_i|, the subtraction by u per entry (u =
+# eps / 2), so (3n + 2) u = (1.5n + 1) eps per unit of sum_i w_i |alpha_i|;
+# the dual equality test accepts 2 (n + 1) eps of it.
+_EQ_ROUNDING_PER_ROW = 2 * np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
@@ -60,8 +79,10 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class FitConfig:
     """Stopping rules.  A None gap tolerance resolves against the problem
-    scale, 1e-9 * max(1, P(zero model)); the dual equality tolerance is
-    always 1e-10 * n."""
+    scale, 1e-9 * max(1, P(zero model)); the dual equality |sum_i w_i
+    alpha_i| is always held to max(1e-10 * n, 2 (n + 1) eps sum_i w_i
+    |alpha_i|), the larger term being the rounding of the squared loss's
+    dual shift."""
 
     gap_tolerance: float | None = None
     max_iterations: int = DEFAULT_MAX_ITERATIONS
@@ -187,18 +208,20 @@ def duality_gap(
 
 def _repair_from_margins(
     kind: LossKind, y: np.ndarray, x: np.ndarray, w: np.ndarray, lam: float, margins: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The repaired dual point and |x.T (w o alpha)| at it, for 1-D margins
-    or for each column of margins (n, T) with y and w of the same shape."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The repaired dual point, |x.T (w o alpha)| at it and the factor it was
+    shrunk by, for 1-D margins or for each column of margins (n, T) with y
+    and w of the same shape."""
     alpha = _dual_from_margin(kind, y, margins)
     if kind is LossKind.SQUARED:
-        # domain is all of R, so the equality constraint can be zeroed exactly
+        # domain is all of R, so the equality constraint can be zeroed up to
+        # the rounding of the shift (see _EQ_ROUNDING_PER_ROW)
         alpha = alpha - np.vecdot(w, alpha, axis=0) / w.sum(axis=0)
     corr = np.abs(x.T @ (w * alpha))
     # shrinking toward zero preserves both dual constraints and, for the
     # logistic loss, the conjugate domain; a column within lam gets exactly 1.0
     shrink = lam / np.maximum(corr.max(axis=0, initial=0.0), lam)
-    return alpha * shrink, corr * shrink
+    return alpha * shrink, corr * shrink, shrink
 
 
 def recover_dual(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> np.ndarray:
@@ -254,7 +277,8 @@ def _column_square_sums(x: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]
     block gives exactly (x*x).T @ v."""
     sums = [np.empty(x.shape[1:] + v.shape[1:]) for v in weights]
     for cols in _column_blocks(x):
-        sq = np.square(x[:, cols])
+        with np.errstate(over="ignore"):  # the fit checks the sums are finite
+            sq = np.square(x[:, cols])
         for out, v in zip(sums, weights):
             out[cols] = sq.T @ v
     return sums
@@ -276,6 +300,30 @@ def _gap_safe_survivors(
     """
     keep = (corr + norms * radius >= lam) | (b != 0.0) | (v != 0.0)
     return cols[keep]
+
+
+def _prioritized(
+    survivors: np.ndarray, corr: np.ndarray, norms: np.ndarray, lam: float, b: np.ndarray,
+    v: np.ndarray, least: int,
+) -> np.ndarray:
+    """The working set a full-matrix check picks from the Gap Safe survivors
+    (indices into x), in ascending order.
+
+    It keeps every survivor with a nonzero b_j or v_j, and fills up to
+    max(least, twice their count) with the survivors closest to entering
+    the model: the smallest (lam - corr_j) / norms_j, a lower bound on how
+    far the dual point must move before x_j reaches the constraint (Celer:
+    Massias, Gramfort & Salmon, ICML 2018).  corr, norms, b and v are
+    indexed by column of x, as for _gap_safe_survivors.
+    """
+    held = (b[survivors] != 0.0) | (v[survivors] != 0.0)
+    rest = survivors[~held]
+    room = max(least, 2 * (survivors.size - rest.size)) - (survivors.size - rest.size)
+    if rest.size > room:
+        with np.errstate(divide="ignore"):  # a zero column scores inf
+            score = (lam - corr[rest]) / norms[rest]
+        rest = rest[np.argpartition(score, room)[:room]]
+    return np.union1d(survivors[held], rest)
 
 
 _EQ_NEWTON_FLOOR = 64 * np.finfo(float).eps  # per unit of total weight
@@ -401,18 +449,33 @@ def _fit_columns(
     T = 1 these are the float operations of a fit of that column alone.  For
     T > 1 the matrix products and the strided dot products may round
     differently in the last bits.  An overflowing step-size floor or start
-    objective raises ValueError.
+    objective raises ValueError.  A check certifies a column when its gap is
+    within its tolerance and |sum_i w_i alpha_i| within
+    max(1e-10 n, 2 (n + 1) eps sum_i w_i |alpha_i|), the rounding the
+    squared loss's dual shift leaves behind (_EQ_ROUNDING_PER_ROW).
 
-    When x holds at least _GAP_SAFE_MIN_BYTES, each gap check also applies
-    the Gap Safe rule (Fercoq, Gramfort & Salmon, ICML 2015) to the working
-    features of every column in the batch, and once the union of the
-    survivors is at most half of them, the iterations multiply only that
-    union.  Step sizes stay those of the full problem.  A column certifies
-    its gap on the full matrix: when a column of the reduced problem
-    converges, every feature rejoins and the check is repeated, and the fit
-    goes on over all features without a working set.  At that size the
-    products with the coefficients also skip their zero rows
-    (_times_support).
+    When x holds at least _GAP_SAFE_MIN_BYTES and has more than twice
+    _WORKING_SET_LEAST columns, the fit runs on prioritized working sets
+    (Blitz: Johnson & Guestrin, ICML 2015; Celer: Massias, Gramfort &
+    Salmon, ICML 2018).  Each check on the full matrix applies the Gap Safe
+    rule (Fercoq, Gramfort & Salmon, ICML 2015) to every column of the
+    batch, keeps from its survivors the nonzero rows of b and v plus those
+    closest to entering the model (_prioritized, at least `least` of them),
+    and once the union over the batch is at most half of the columns of x,
+    the iterations multiply only that union.  Its checks do not screen, for
+    the Gap Safe certificate holds only for the full problem.  When a column
+    of the reduced problem certifies there, or its gap falls to
+    _REJOIN_RATIO of its best full-matrix gap, or the iterations run out,
+    every feature rejoins and the check is repeated on the full matrix.  If
+    that check finds a column's dual point shrunk for a feature outside the
+    working set it left, the working set missed an active feature: `least`
+    doubles, and once it reaches half the columns of x the fit goes on over
+    all features.  Otherwise the full gap equals the reduced one, so every
+    round either certifies, shrinks a gap by _REJOIN_RATIO or doubles
+    `least`.  A fit returns only from a check on the full matrix, the best
+    iterate is taken only there, and step sizes stay those of the full
+    problem.  At that size the products with the coefficients also skip
+    their zero rows (_times_support).
     """
     if config is None:
         config = FitConfig()
@@ -428,12 +491,8 @@ def _fit_columns(
     w = weights
     sw = w.sum(axis=0)
     nu = nu_constant(kind)
-    if config.gap_tolerance is not None:
-        gap_tol = [config.gap_tolerance] * batch
-    else:
-        gap_tol = [DEFAULT_GAP_SCALE * objective_scale(dataset, w[:, k], kind)
-                   for k in range(batch)]
     eq_tol = DEFAULT_EQ_PER_ROW * n
+    eq_rounding = _EQ_ROUNDING_PER_ROW * (n + 1)
     wy = w * yc
     newton_target = [min(eq_tol, _EQ_NEWTON_FLOOR * s) for s in sw.tolist()]
 
@@ -465,25 +524,34 @@ def _fit_columns(
     v = b.copy()
     t0_v = t0.copy()
     tk = [1.0] * batch
-    screening = x.nbytes >= _GAP_SAFE_MIN_BYTES
+    least = _WORKING_SET_LEAST  # doubles when a working set misses a feature
+    screening = x.nbytes >= _GAP_SAFE_MIN_BYTES and 2 * least < d
     norms = np.empty((0, batch))  # per column, used while screening
     if screening:
         w_sq_sums, norms = _column_square_sums(x, w, w * w)
         norms = np.sqrt(norms)
     else:
         (w_sq_sums,) = _column_square_sums(x, w)
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        if config.gap_tolerance is not None:
+            gap_tol = [config.gap_tolerance] * batch
+        else:
+            gap_tol = [DEFAULT_GAP_SCALE * objective_scale(dataset, w[:, k], kind)
+                       for k in range(batch)]
+        obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
     l_min = [max(nu * m, 1e-12) for m in w_sq_sums.max(axis=0).tolist()]
     lip = list(l_min)
-    # the working set: xa holds the columns cols of x, and the rows of b, v
-    # and the gradient are indexed like them
-    cols = np.arange(d)
-    xa = x
-    obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
     if not all(map(math.isfinite, l_min + obj_curr)):
         raise ValueError("the fit overflows: the squared features or the starting losses "
                          "exceed the float range; rescale the features or labels")
-    # the best iterate of each column, from checks on the full matrix
-    best_gap, best_b0 = [math.inf] * batch, [0.0] * batch
+    # the working set: xa holds the columns cols of x, and the rows of b, v
+    # and the gradient are indexed like them; left is the working set the
+    # last rejoin left, until the full check after it
+    every = np.arange(d)
+    cols, xa, left = every, x, None
+    # the best iterate of each column, from checks on the full matrix, and
+    # its dual equality residual with the bound it was held to
+    best_gap, best_b0, best_eq = [math.inf] * batch, [0.0] * batch, [(0.0, 0.0)] * batch
     best_b, best_alpha = np.zeros((d, batch)), np.zeros((n, batch))
     ids = list(range(batch))  # each batch column's index into weights
     results: list = [None] * batch
@@ -502,64 +570,90 @@ def _fit_columns(
         results[ids[k]] = model if message is None else ConvergenceError(message, model)
         finished.add(k)
 
+    def out_of_iterations_message(k: int) -> str:
+        """What column k's best iterate missed: its gap, or else the dual equality."""
+        if not best_gap[k] <= gap_tol[k]:
+            return (f"gap {best_gap[k]:.3e} > tolerance {gap_tol[k]:.3e} "
+                    f"after {iterations} iterations")
+        residual, bound = best_eq[k]
+        return (f"dual equality residual {residual:.3e} > tolerance {bound:.3e} "
+                f"after {iterations} iterations (gap {best_gap[k]:.3e} within "
+                f"tolerance {gap_tol[k]:.3e})")
+
     def drop_finished() -> None:
         """Remove the finished columns from every per-column array and list."""
         nonlocal yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms
-        nonlocal ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0
+        nonlocal ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr
+        nonlocal best_gap, best_b0, best_eq
         keep = [k for k in range(len(ids)) if k not in finished]
         yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms = (
             a[..., keep] for a in (yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms))
-        ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0 = (
+        ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0, best_eq = (
             [a[k] for k in keep]
             for a in (ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap,
-                      best_b0))
+                      best_b0, best_eq))
         finished.clear()
 
     iterations = 0
     while ids:
         if iterations % _CHECK_EVERY == 0 or iterations >= config.max_iterations:
-            alpha, corr = _repair_from_margins(kind, yc, xa, w, lam, t0 + b0)
+            alpha, corr, shrink = _repair_from_margins(kind, yc, xa, w, lam, t0 + b0)
             dual = _dual_value(kind, yc, w, alpha)
             gap = np.maximum(0.0, np.subtract(obj_curr, dual)).tolist()
             eq_residual = np.abs(np.vecdot(w, alpha, axis=0)).tolist()
-            certified = [g <= tol and e <= eq_tol for g, tol, e in zip(gap, gap_tol, eq_residual)]
+            eq_bound = np.maximum(
+                eq_tol, eq_rounding * np.vecdot(w, np.abs(alpha), axis=0)).tolist()
+            certified = [g <= tol and e <= eb for g, tol, e, eb
+                         in zip(gap, gap_tol, eq_residual, eq_bound)]
             out_of_iterations = iterations >= config.max_iterations
-            if xa is not x and (out_of_iterations or any(certified)):
-                # every feature rejoins, and the check runs again on the full matrix
-                b_full, v_full = np.zeros((d, len(ids))), np.zeros((d, len(ids)))
-                b_full[cols], v_full[cols] = b, v
-                b, v, xa, screening = b_full, v_full, x, False
-                t0, t0_v = _times_support(x, b), _times_support(x, v)
-                obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
-                continue
-            if xa is x:
+            if xa is not x:
+                if out_of_iterations or any(
+                        c or g <= _REJOIN_RATIO * bg for c, g, bg in zip(certified, gap, best_gap)):
+                    # every feature rejoins, and the check runs again on the full matrix
+                    b_full, v_full = np.zeros((d, len(ids))), np.zeros((d, len(ids)))
+                    b_full[cols], v_full[cols] = b, v
+                    b, v, xa, cols, left = b_full, v_full, x, every, cols
+                    t0, t0_v = _times_support(x, b), _times_support(x, v)
+                    obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
+                    continue
+            else:
                 better = [k for k, g in enumerate(gap) if g < best_gap[k]]
                 best_b[:, better] = b[:, better]
                 best_alpha[:, better] = alpha[:, better]
                 for k in better:
                     best_gap[k], best_b0[k] = gap[k], b0[k]
-            survivors = []
-            w_min = w.min(axis=0).tolist() if screening else None
-            for k, done in enumerate(certified):
-                if done:
-                    finish(k)
-                elif out_of_iterations:
-                    finish(k, f"gap {best_gap[k]:.3e} > tolerance {gap_tol[k]:.3e} "
-                              f"after {iterations} iterations")
-                elif screening:
-                    survivors.append(_gap_safe_survivors(
-                        cols, corr[:, k], norms[cols, k],
-                        math.sqrt(_ball_factor(nu, w_min[k]) * gap[k]), lam, b[:, k], v[:, k]))
-            if finished:
-                drop_finished()
-                if not ids:
-                    break
-            if survivors:
-                union = np.unique(np.concatenate(survivors))
-                if 2 * union.size <= cols.size:
-                    keep = np.searchsorted(cols, union)
-                    b, v, cols = b[keep], v[keep], union
-                    xa = x[:, cols]
+                    best_eq[k] = eq_residual[k], eq_bound[k]
+                if left is not None:
+                    # a dual point shrunk for a feature outside the working set
+                    # means the set missed it
+                    outside = np.ones(d, dtype=bool)
+                    outside[left] = False
+                    if np.any((shrink < 1.0) & outside[corr.argmax(axis=0)]):
+                        least *= 2
+                        screening = screening and 2 * least < d
+                    left = None
+                survivors = []
+                w_min = w.min(axis=0).tolist() if screening else None
+                for k, done in enumerate(certified):
+                    if done:
+                        finish(k)
+                    elif out_of_iterations:
+                        finish(k, out_of_iterations_message(k))
+                    elif screening:
+                        safe = _gap_safe_survivors(
+                            cols, corr[:, k], norms[:, k],
+                            math.sqrt(_ball_factor(nu, w_min[k]) * gap[k]), lam, b[:, k], v[:, k])
+                        survivors.append(_prioritized(safe, corr[:, k], norms[:, k], lam,
+                                                      b[:, k], v[:, k], least))
+                if finished:
+                    drop_finished()
+                    if not ids:
+                        break
+                if survivors:
+                    union = np.unique(np.concatenate(survivors))
+                    if 2 * union.size <= d:
+                        b, v, cols = b[union], v[union], union
+                        xa = x[:, cols]
 
         b0_v, margins_v, sig_v = intercept(t0_v, b0)
         f_v = np.vecdot(w, _loss(kind, yc, margins_v), axis=0).tolist()

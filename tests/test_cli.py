@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import drfs
-from drfs import Dataset, Task, oracle, synth
+from drfs import Dataset, Task, oracle, solver, synth
 from drfs.cli import build_parser, main
 from drfs.data import serialize_libsvm
 
@@ -305,9 +305,47 @@ def test_overflowing_input_exit_3(feature_scale, label_scale, flags, message, tm
     done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert json.loads(done.stdout) == [3] * len(commands)
-    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    # nothing but the error lines: no numpy overflow warning before them
+    errors = done.stderr.splitlines()
     assert len(errors) == len(commands)
     assert all(line.startswith("error: " + message) for line in errors)
+
+
+@pytest.fixture(scope="module")
+def large_label_file(tmp_path_factory):
+    """20x3 regression with labels of order 1e8: the squared loss's dual shift
+    leaves sum_i w_i alpha_i near 1e-7, far above 1e-10 * n."""
+    rng = np.random.default_rng(4)
+    dataset = Dataset(x=rng.standard_normal((20, 3)), y=rng.standard_normal(20) * 1e8,
+                      task=Task.REGRESSION)
+    path = tmp_path_factory.mktemp("data") / "large_labels.libsvm"
+    path.write_text(serialize_libsvm(dataset), encoding="utf-8")
+    return str(path)
+
+
+class TestLargeLabels:
+    def test_solve_and_verify_certify(self, large_label_file, capsys):
+        """The dual equality is held to the rounding of the shift that zeroes
+        it, so the fit certifies instead of running out of iterations."""
+        assert main(["solve", large_label_file, "--lambda-ratio", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] < 1000
+        assert main(["verify", large_label_file, "--lambda-ratio", "0.5", "--trials", "20"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["inconclusive"] == 0
+        assert payload["violations"] == []
+
+    def test_equality_failure_names_the_residual(self, large_label_file, monkeypatch, capsys):
+        """Without the rounding allowance the gap meets its tolerance and the
+        dual equality does not; the message says which."""
+        monkeypatch.setattr(solver, "_EQ_ROUNDING_PER_ROW", 0.0)
+        assert main(["solve", large_label_file, "--lambda-ratio", "0.5", "--max-iter", "50"]) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: dual equality residual (\S+) > tolerance (\S+) after 50 "
+                             r"iterations \(gap (\S+) within tolerance (\S+)\)\n", err)
+        assert match, err
+        residual, eq_tol, gap, gap_tol = map(float, match.groups())
+        assert residual > eq_tol == solver.DEFAULT_EQ_PER_ROW * 20
+        assert gap <= gap_tol
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -318,6 +318,25 @@ def _record_rule(monkeypatch, calls: list) -> None:
     monkeypatch.setattr(solver, "_gap_safe_survivors", recording)
 
 
+def _record_checks(monkeypatch, widths: list) -> None:
+    """Wrap the dual repair, collecting the number of columns of x each gap
+    check runs on: d on the full matrix, fewer on a working set."""
+    repair = solver._repair_from_margins
+
+    def recording(kind, y, x, *rest):
+        widths.append(x.shape[1])
+        return repair(kind, y, x, *rest)
+
+    monkeypatch.setattr(solver, "_repair_from_margins", recording)
+
+
+def _working_sets(monkeypatch, least: int) -> None:
+    """Working sets at every size: x counts as large, and sets of `least`
+    columns are small enough to compact into."""
+    monkeypatch.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+    monkeypatch.setattr(solver, "_WORKING_SET_LEAST", least)
+
+
 class TestGapSafeWorkingSet:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -326,20 +345,29 @@ class TestGapSafeWorkingSet:
         wide=st.booleans(),
         ratio=st.floats(0.05, 0.9),
         delta=st.floats(0.0, 0.9),
+        least=st.integers(1, 5),
     )
-    def test_screened_fit_certifies_and_drops_only_zeros(self, seed, kind, wide, ratio, delta):
+    def test_screened_fit_certifies_and_drops_only_zeros(self, seed, kind, wide, ratio, delta,
+                                                         least):
+        """Every example runs a prioritized working set smaller than d: the
+        cold start's check compacts to at most `least` columns, below d / 2."""
         n, d = (12, 30) if wide else (40, 12)
         ds = _random_problem(seed, n, d, kind)
         w = np.random.default_rng(seed + 1).uniform(1.0 - delta, 1.0 + delta, size=n)
         lam = ratio * lambda_max(ds, w, kind)
         calls: list = []
+        widths: list = []
         gap_tol = 1e-9 * objective_scale(ds, w, kind)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+            _working_sets(mp, least)
             _record_rule(mp, calls)
+            _record_checks(mp, widths)
             model = fit_weighted_erm(ds, w, kind, lam)
             # duality_gap takes the support products the fit took
             _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol)
+        assert min(widths) <= least < d and widths[-1] == d
+        # the rule certifies zeros of the full problem, so it sees every column
+        assert all(cols.size == d for cols, _ in calls)
         # the dense x @ b sums in another order
         _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol,
                                          1e-13 * objective_scale(ds, w, kind))
@@ -349,39 +377,85 @@ class TestGapSafeWorkingSet:
         assert np.all(model.b[dropped] == 0.0)
 
     def test_working_set_compacts(self, monkeypatch, reg40):
+        """Checks on a working set alternate with checks on the full matrix,
+        and only the full ones run the Gap Safe rule."""
         w = np.ones(reg40.n)
         lam = 0.5 * lambda_max(reg40, w, SQ)
         calls: list = []
-        monkeypatch.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+        widths: list = []
+        _working_sets(monkeypatch, 2)
         _record_rule(monkeypatch, calls)
+        _record_checks(monkeypatch, widths)
         model = fit_weighted_erm(reg40, w, SQ, lam)
-        assert calls[-1][0].size < reg40.d  # the last check ran on a reduced working set
+        assert min(widths) < reg40.d and widths[0] == widths[-1] == reg40.d
+        assert len(calls) == widths.count(reg40.d) - 1  # every full check but the last
+        assert all(cols.size == reg40.d for cols, _ in calls)
         _assert_certified_on_full_matrix(reg40, w, SQ, lam, model,
                                          1e-9 * objective_scale(reg40, w, SQ))
 
     @pytest.mark.parametrize("kind,fixture", [(SQ, "reg40"), (LOG, "clf40")])
     def test_failed_full_check_readmits_every_column(self, monkeypatch, kind, fixture, request):
-        """A wrong drop passes the reduced check but not the full one; the
-        columns rejoin and the fit still certifies."""
+        """A drop rule that removes every zero column leaves a working set of
+        the nonzero rows alone.  Each full check after it finds the dual point
+        shrunk for a column outside, so the least size doubles until it
+        reaches half of d, and the fit ends on the full matrix, certified."""
         ds = request.getfixturevalue(fixture)
         w = np.ones(ds.n)
         lam = 0.3 * lambda_max(ds, w, kind)
+        plain = fit_weighted_erm(ds, w, kind, lam)
         calls = []
+        least = []
 
         def drop_every_zero(cols, corr, norms, radius, lam, b, v):
             calls.append(cols.size)
             return cols[(b != 0.0) | (v != 0.0)]
 
-        monkeypatch.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+        prioritized = solver._prioritized
+
+        def recording(*args):
+            least.append(args[-1])
+            return prioritized(*args)
+
+        _working_sets(monkeypatch, 1)
         monkeypatch.setattr(solver, "_gap_safe_survivors", drop_every_zero)
+        monkeypatch.setattr(solver, "_prioritized", recording)
         model = fit_weighted_erm(ds, w, kind, lam)
-        assert calls == [ds.d]  # the cold start drops all columns, then never screens again
+        assert set(calls) == {ds.d}
+        # 1, 2, 4; at 8 >= 15 / 2 compaction stops
+        assert sorted(set(least)) == [1, 2, 4]
+        assert model.iterations <= plain.iterations + 5 * solver._CHECK_EVERY
         _assert_certified_on_full_matrix(ds, w, kind, lam, model,
                                          1e-9 * objective_scale(ds, w, kind))
-        monkeypatch.undo()
-        plain = fit_weighted_erm(ds, w, kind, lam)
         np.testing.assert_allclose(model.b, plain.b, atol=1e-6)
         assert np.count_nonzero(model.b) > 0
+
+    @pytest.mark.parametrize("kind,fixture", [(SQ, "reg40"), (LOG, "clf40")])
+    def test_working_set_missing_an_active_feature(self, monkeypatch, kind, fixture, request):
+        """A working set that never holds the strongest feature of the optimum
+        converges to the wrong reduced problem every time; the fit still ends
+        on the full matrix, certified, and finds that feature."""
+        ds = request.getfixturevalue(fixture)
+        w = np.ones(ds.n)
+        lam = 0.3 * lambda_max(ds, w, kind)
+        plain = fit_weighted_erm(ds, w, kind, lam)
+        missing = int(np.argmax(np.abs(plain.b)))
+        prioritized = solver._prioritized
+        sets = []
+
+        def without_missing(*args):
+            cols = prioritized(*args)
+            sets.append(cols)
+            return cols[cols != missing]
+
+        _working_sets(monkeypatch, 2)
+        monkeypatch.setattr(solver, "_prioritized", without_missing)
+        model = fit_weighted_erm(ds, w, kind, lam)
+        assert len(sets) >= 2 and all(missing in cols for cols in sets)  # it was wanted
+        assert model.iterations <= plain.iterations + 5 * solver._CHECK_EVERY
+        _assert_certified_on_full_matrix(ds, w, kind, lam, model,
+                                         1e-9 * objective_scale(ds, w, kind))
+        np.testing.assert_allclose(model.b, plain.b, atol=1e-6)
+        assert model.b[missing] != 0.0
 
     @pytest.mark.parametrize("wrong_drop", [False, True])
     def test_convergence_error_carries_full_certificate(self, monkeypatch, clf40, wrong_drop):
@@ -390,7 +464,7 @@ class TestGapSafeWorkingSet:
         reduced problem reached a far smaller gap of its own."""
         w = np.ones(clf40.n)
         lam = 0.3 * lambda_max(clf40, w, LOG)
-        monkeypatch.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+        _working_sets(monkeypatch, 2)
         if wrong_drop:
             calls = []
 
@@ -556,7 +630,7 @@ class TestFitColumns:
         config = FitConfig(gap_tolerance=1e-11 * objective_scale(ds, np.ones(n), kind))
         with pytest.MonkeyPatch.context() as mp:
             if working_set:
-                mp.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+                _working_sets(mp, 2)
             results = solver._fit_columns(ds, weights, kind, lam, config, warm)
             alone = [fit_weighted_erm(ds, weights[:, k], kind, lam, config, warm_start=warm)
                      for k in range(batch)]

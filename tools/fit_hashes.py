@@ -28,6 +28,12 @@ runs them on large files: per LARGE problem, one fit of 8 corner draws at
 V = 1 and lambda = 0.1 * lambda_max, warm-started from the w = 1 fit at
 the verifier's tolerance and iteration cap.  It hashes each column's
 support and whether it came back inconclusive.
+
+The `wide` line covers the benchmark's 10000x2000 screen_wide problems at
+seed 0 (standardized synth draws: squared seed 101 at lambda = 0.1 *
+lambda_max, logistic seed 103 at 0.05 * lambda_max), where the fit runs
+on small working sets for most of its iterations.  It hashes each fit's
+support and the removed mask of its screen at V = 0.1.
 """
 
 import hashlib
@@ -77,6 +83,9 @@ LARGE = [
     ("squared2000", problem(Task.REGRESSION, 2000, 200, 10, 0.5, 201), SQ),
     ("logistic2000", problem(Task.BINARY, 2000, 200, 10, 0.5, 203), LOG),
 ]
+
+
+WIDE = [(Task.REGRESSION, SQ, 0.1, 101), (Task.BINARY, LOG, 0.05, 103)]
 
 
 def fits(dataset, kind, lam):
@@ -144,6 +153,17 @@ def batch_outcomes():
             yield (result.model if inconclusive else result).support
 
 
+def wide_outcomes():
+    """The support of each WIDE fit, then the removed mask of its screen."""
+    for task, kind, ratio, seed in WIDE:
+        dataset = problem(task, 10_000, 2_000, 20, 0.5, seed)
+        w1 = np.ones(dataset.n)
+        model = fit_weighted_erm(dataset, w1, kind, ratio * lambda_max(dataset, w1, kind))
+        yield model.support
+        box = WeightBox(dataset.n, delta_from_v(0.1, dataset.n))
+        yield screen(dataset, build_reference(dataset, model, box), box).removed
+
+
 def main() -> None:
     total = hashlib.sha256()
     for name, dataset, kind in PROBLEMS:
@@ -168,6 +188,10 @@ def main() -> None:
     for part in batch_outcomes():
         batch.update(np.asarray(part, dtype=np.int64).tobytes())
     print("batch", batch.hexdigest())
+    wide = hashlib.sha256()
+    for part in wide_outcomes():
+        wide.update(np.asarray(part, dtype=np.int64).tobytes())
+    print("wide", wide.hexdigest())
 
 
 if __name__ == "__main__":
