@@ -626,9 +626,7 @@ def _fit_columns(
                 if left is not None:
                     # a dual point shrunk for a feature outside the working set
                     # means the set missed it
-                    outside = np.ones(d, dtype=bool)
-                    outside[left] = False
-                    if np.any((shrink < 1.0) & outside[corr.argmax(axis=0)]):
+                    if np.any((shrink < 1.0) & ~np.isin(corr.argmax(axis=0), left)):
                         least *= 2
                         screening = screening and 2 * least < d
                     left = None
