@@ -44,19 +44,21 @@ _CHECK_EVERY = 5
 # x.T @ v 18 us at 1 MiB; a 40x15 iteration 35 us squared, 200 us
 # logistic), so neither saves anything.  Fit time with/without working
 # sets, squared and logistic synth at 0.1 lambda_max, best of 7: 0.98 MiB
-# (1000x128, 2000x64) 1.08-1.32x, 1.95 MiB (2000x128) 0.85-0.86x,
-# 3.05 MiB (2000x200) 0.60-0.66x.
+# (1000x128, 2000x64) 0.94-1.46x, 1.95 MiB (2000x128) 0.85-0.87x,
+# 3.05 MiB (2000x200) 0.55-0.74x.
 _GAP_SAFE_MIN_BYTES = 1 << 20
 # The prioritized working set (see _fit_columns): at least
 # _WORKING_SET_LEAST columns, and a reduced problem rejoins the full matrix
 # once its gap is _REJOIN_RATIO of the best full-matrix one.  Chosen on the
 # screen_wide problems (10000x2000, seeds 1-2; fit seconds, best of 5
 # alternating runs) and the grid_cli ones (2000x200 at 4 lambda ratios,
-# seeds 1-2; total iterations, 1200 without working sets), same machine:
+# seeds 1-2; total iterations), same machine:
 #   least / ratio   10/0.3   20/0.3   30/0.3   50/0.3   30/0.2   30/0.5
-#   screen_wide s     1.20     0.91     0.86     0.89     0.99     1.13
-#   grid_cli its     1290     1160     1105     1115     1345     1075
-# Without any working set the screen_wide fits take 4.9 s.
+#   screen_wide s     1.10     1.04     1.08     1.04     1.01     1.11
+#   grid_cli its     1655     1620     1045     1095     1630     1125
+# The screen_wide times differ by less than their run-to-run spread, and
+# take 4.9 s without any working set.  The grid_cli fits take 1175
+# iterations without working sets and 1200 with the Gap Safe rule alone.
 _WORKING_SET_LEAST = 30
 _REJOIN_RATIO = 0.3
 # The squared loss's dual shift leaves sum_i w_i alpha_i at rounding level:
@@ -468,9 +470,11 @@ def _fit_columns(
     _REJOIN_RATIO of its best full-matrix gap, or the iterations run out,
     every feature rejoins and the check is repeated on the full matrix.  If
     that check finds a column's dual point shrunk for a feature outside the
-    working set it left, the working set missed an active feature: `least`
-    doubles, and once it reaches half the columns of x the fit goes on over
-    all features.  Otherwise the full gap equals the reduced one, so every
+    working set it left, the working set missed an active feature: the
+    momentum restarts, `least` doubles, and once it reaches half the
+    columns of x the fit goes on over all features (the restart took the
+    grid_cli benchmark's 2000x200 fits, seeds 0-9, from 6110 to 5215
+    iterations, against 5930 without working sets).  Otherwise the full gap equals the reduced one, so every
     round either certifies, shrinks a gap by _REJOIN_RATIO or doubles
     `least`.  A fit returns only from a check on the full matrix, the best
     iterate is taken only there, and step sizes stay those of the full
@@ -550,8 +554,8 @@ def _fit_columns(
     every = np.arange(d)
     cols, xa, left = every, x, None
     # the best iterate of each column, from checks on the full matrix, and
-    # its dual equality residual with the bound it was held to
-    best_gap, best_b0, best_eq = [math.inf] * batch, [0.0] * batch, [(0.0, 0.0)] * batch
+    # its dual equality residual
+    best_gap, best_b0, best_eq = [math.inf] * batch, [0.0] * batch, [0.0] * batch
     best_b, best_alpha = np.zeros((d, batch)), np.zeros((n, batch))
     ids = list(range(batch))  # each batch column's index into weights
     results: list = [None] * batch
@@ -575,8 +579,8 @@ def _fit_columns(
         if not best_gap[k] <= gap_tol[k]:
             return (f"gap {best_gap[k]:.3e} > tolerance {gap_tol[k]:.3e} "
                     f"after {iterations} iterations")
-        residual, bound = best_eq[k]
-        return (f"dual equality residual {residual:.3e} > tolerance {bound:.3e} "
+        bound = max(eq_tol, eq_rounding * float(w[:, k] @ np.abs(best_alpha[:, k])))
+        return (f"dual equality residual {best_eq[k]:.3e} > tolerance {bound:.3e} "
                 f"after {iterations} iterations (gap {best_gap[k]:.3e} within "
                 f"tolerance {gap_tol[k]:.3e})")
 
@@ -601,10 +605,10 @@ def _fit_columns(
             dual = _dual_value(kind, yc, w, alpha)
             gap = np.maximum(0.0, np.subtract(obj_curr, dual)).tolist()
             eq_residual = np.abs(np.vecdot(w, alpha, axis=0)).tolist()
-            eq_bound = np.maximum(
-                eq_tol, eq_rounding * np.vecdot(w, np.abs(alpha), axis=0)).tolist()
-            certified = [g <= tol and e <= eb for g, tol, e, eb
-                         in zip(gap, gap_tol, eq_residual, eq_bound)]
+            # the rounding term is computed only where 1e-10 n is not enough
+            certified = [g <= tol and (e <= eq_tol or e <= eq_rounding * float(
+                             w[:, k] @ np.abs(alpha[:, k])))
+                         for k, (g, tol, e) in enumerate(zip(gap, gap_tol, eq_residual))]
             out_of_iterations = iterations >= config.max_iterations
             if xa is not x:
                 if out_of_iterations or any(
@@ -622,13 +626,15 @@ def _fit_columns(
                 best_alpha[:, better] = alpha[:, better]
                 for k in better:
                     best_gap[k], best_b0[k] = gap[k], b0[k]
-                    best_eq[k] = eq_residual[k], eq_bound[k]
+                    best_eq[k] = eq_residual[k]
                 if left is not None:
                     # a dual point shrunk for a feature outside the working set
-                    # means the set missed it
+                    # means the set missed it, and the momentum carried over
+                    # from that reduced problem points the wrong way
                     if np.any((shrink < 1.0) & ~np.isin(corr.argmax(axis=0), left)):
                         least *= 2
                         screening = screening and 2 * least < d
+                        v, t0_v, tk = b.copy(), t0.copy(), [1.0] * len(ids)
                     left = None
                 survivors = []
                 w_min = w.min(axis=0).tolist() if screening else None
