@@ -163,7 +163,16 @@ def _resolve_lambda(args: argparse.Namespace, dataset: Dataset, weights: np.ndar
         return args.lambda_absolute
     if not args.lambda_ratio > 0:
         raise ValueError("--lambda-ratio must be > 0")
-    return args.lambda_ratio * lambda_max(dataset, weights, kind)
+    return args.lambda_ratio * _ratio_base(dataset, weights, kind, "pass --lambda-absolute")
+
+
+def _ratio_base(dataset: Dataset, weights: np.ndarray, kind: LossKind, remedy: str) -> float:
+    """lambda_max, the base of every lambda ratio; a zero one is refused with the remedy."""
+    lam_max = lambda_max(dataset, weights, kind)
+    if lam_max == 0.0:
+        raise ValueError("lambda_max is 0 (no feature correlates with the residuals of the "
+                         f"intercept-only fit), so every lambda ratio gives lambda = 0; {remedy}")
+    return lam_max
 
 
 def _resolve_delta(args: argparse.Namespace, n: int) -> float:
@@ -248,7 +257,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         raise ValueError("lambda ratios must lie in (0, 1]")
     shifts = [(v, delta_from_v(v, dataset.n)) for v in sorted(args.v_values)]
     config = _fit_config(args)
-    lam_max = lambda_max(dataset, np.ones(dataset.n), kind)
+    lam_max = _ratio_base(dataset, np.ones(dataset.n), kind,
+                          "screen with `drfs screen --lambda-absolute` instead")
     rows = []
     for ratio in sorted(args.lambda_ratios):
         lam = ratio * lam_max

@@ -5,8 +5,9 @@ gets an upper bound on |sum_i w_i alpha_i^{*(w)} x_ij| that is valid for
 every admissible weight vector simultaneously.  Features whose bound stays
 below lambda can never enter the optimal support under any admissible
 shift and are safe to drop.  The bound combines a rescaled dual point that
-stays feasible for all weights, a duality-gap ball for the re-weighted
-dual optimum, and two closed-form maximizations over the weight polytope.
+stays feasible for all weights, the duality-gap ball of radius sqrt(2 nu
+gap) in ||a||_w^2 = sum_i w_i a_i^2 that holds the re-weighted dual optimum
+around it, and two closed-form maximizations over the weight polytope.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
-from .solver import FittedModel, _ball_factor, _times_support, duality_gap
+from .solver import FittedModel, _times_support, duality_gap
 from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
@@ -131,12 +132,12 @@ def _into_domain(kind: LossKind, y: np.ndarray, alpha: np.ndarray, what: str) ->
 
 
 def dg_radius(gap: float, nu: float, delta: float) -> float:
-    """Radius of the ball certain to contain the re-weighted dual optimum."""
+    """Euclidean radius of a ball certain to contain the re-weighted dual optimum."""
     if gap < 0:
         raise ValueError(f"gap must be >= 0, got {gap}")
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must be in [0, 1), got {delta}")
-    return math.sqrt(_ball_factor(nu, 1.0 - delta) * gap)
+    return math.sqrt(2.0 * nu / (1.0 - delta) * gap)
 
 
 def _conjugate_at_scaled(ref: ReferencePair, factor: float) -> np.ndarray:
@@ -183,9 +184,8 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
     gap = duality_gap(dataset, w, ref.loss_kind, ref.lam, ref.b, ref.b0, alpha_hat)
     col = dataset.x[:, j]
     first = abs(float(np.dot(w * alpha_hat, col)))
-    nu = nu_constant(ref.loss_kind)
-    norm_sq = float(np.dot(w * w, col * col))
-    return first + math.sqrt(norm_sq * _ball_factor(nu, 1.0 - box.delta) * gap)
+    norm_sq = float(np.dot(w, col * col))
+    return first + math.sqrt(norm_sq * (2.0 * nu_constant(ref.loss_kind)) * gap)
 
 
 def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningReport:
@@ -214,8 +214,7 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
     # worst-case duality gap over the box: the rho maximization plus the
     # regularizer term, clamped at zero against rounding
     gbar = max(0.0, max_linear(rho_vector(ref), box) + lam * float(np.sum(np.abs(ref.b))))
-    nmax_sq = _pair_half_sums(dataset._x_sq_half_sums, box, squared=True)
-    bounds = first + np.sqrt(nmax_sq * _ball_factor(nu, 1.0 - box.delta) * gbar)
+    bounds = first + np.sqrt(_pair_half_sums(dataset._x_sq_half_sums, box) * (2.0 * nu) * gbar)
     if box.delta == 0.0 and not np.any(ref.b):
         removed = first <= lam * (1.0 + ZERO_REFERENCE_BAND)
     else:

@@ -266,23 +266,14 @@ def _soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
-def _ball_factor(nu: float, w_min: float) -> float:
-    """2 nu / w_min: squared radius, per unit of duality gap, of the ball
-    around a feasible dual point that holds the dual optimum when every
-    weight is at least w_min (the weighted dual is w_min/nu strongly concave)."""
-    return 2.0 * nu / w_min
-
-
-def _column_square_sums(x: np.ndarray, *weights: np.ndarray) -> list[np.ndarray]:
-    """sum_i v_i x_ij^2 for each weight vector v, or each column of v (n, T),
+def _column_square_sums(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_ij^2 for a weight vector w, or each column of w (n, T),
     one column block of x at a time so no full x*x copy is made; a single
-    block gives exactly (x*x).T @ v."""
-    sums = [np.empty(x.shape[1:] + v.shape[1:]) for v in weights]
+    block gives exactly (x*x).T @ w."""
+    sums = np.empty(x.shape[1:] + w.shape[1:])
     for cols in _column_blocks(x):
         with np.errstate(over="ignore"):  # the fit checks the sums are finite
-            sq = np.square(x[:, cols])
-        for out, v in zip(sums, weights):
-            out[cols] = sq.T @ v
+            sums[cols] = np.square(x[:, cols]).T @ w
     return sums
 
 
@@ -294,8 +285,9 @@ def _gap_safe_survivors(
     zero at the optimum.
 
     corr holds |x_j.T (w o alpha)| at a feasible dual point alpha, norms
-    ||w o x_j||, and the dual optimum lies within radius of alpha, so a
-    column with corr + norms * radius < lam is zero in every optimum
+    sqrt(sum_i w_i x_ij^2), and the dual optimum lies within radius of
+    alpha in the norm ||a||_w = sqrt(sum_i w_i a_i^2), so by Cauchy-Schwarz
+    a column with corr + norms * radius < lam is zero in every optimum
     (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017).  Columns with a nonzero
     iterate entry b_j or v_j stay, so dropping the rest leaves the margins
     as they are.
@@ -314,9 +306,9 @@ def _prioritized(
     It keeps every survivor with a nonzero b_j or v_j, and fills up to
     max(least, twice their count) with the survivors closest to entering
     the model: the smallest (lam - corr_j) / norms_j, a lower bound on how
-    far the dual point must move before x_j reaches the constraint (Celer:
-    Massias, Gramfort & Salmon, ICML 2018).  corr, norms, b and v are
-    indexed by column of x, as for _gap_safe_survivors.
+    far the dual point must move in ||.||_w before x_j reaches the
+    constraint (Celer: Massias, Gramfort & Salmon, ICML 2018).  corr, norms,
+    b and v are indexed by column of x, as for _gap_safe_survivors.
     """
     held = (b[survivors] != 0.0) | (v[survivors] != 0.0)
     rest = survivors[~held]
@@ -483,8 +475,8 @@ def _fit_columns(
     """
     if config is None:
         config = FitConfig()
-    if not lam > 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     x = dataset.x
     y = dataset.y
     n, d = x.shape
@@ -530,12 +522,7 @@ def _fit_columns(
     tk = [1.0] * batch
     least = _WORKING_SET_LEAST  # doubles when a working set misses a feature
     screening = x.nbytes >= _GAP_SAFE_MIN_BYTES and 2 * least < d
-    norms = np.empty((0, batch))  # per column, used while screening
-    if screening:
-        w_sq_sums, norms = _column_square_sums(x, w, w * w)
-        norms = np.sqrt(norms)
-    else:
-        (w_sq_sums,) = _column_square_sums(x, w)
+    w_sq_sums = _column_square_sums(x, w)
     with np.errstate(over="ignore"):  # an overflow fails the check below
         if config.gap_tolerance is not None:
             gap_tol = [config.gap_tolerance] * batch
@@ -544,6 +531,10 @@ def _fit_columns(
                        for k in range(batch)]
         obj_curr = (smooth(t0, b0) + lam * np.abs(b).sum(axis=0)).tolist()
     l_min = [max(nu * m, 1e-12) for m in w_sq_sums.max(axis=0).tolist()]
+    # the Gap Safe rule's column norms, per column of weights (see ids): the
+    # weighted dual is 1/nu strongly concave in ||a||_w, so its optimum lies
+    # within sqrt(2 nu gap) of alpha in that norm
+    norms = np.sqrt(w_sq_sums)
     lip = list(l_min)
     if not all(map(math.isfinite, l_min + obj_curr)):
         raise ValueError("the fit overflows: the squared features or the starting losses "
@@ -586,12 +577,12 @@ def _fit_columns(
 
     def drop_finished() -> None:
         """Remove the finished columns from every per-column array and list."""
-        nonlocal yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms
+        nonlocal yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha
         nonlocal ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr
         nonlocal best_gap, best_b0, best_eq
         keep = [k for k in range(len(ids)) if k not in finished]
-        yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms = (
-            a[..., keep] for a in (yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha, norms))
+        yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha = (
+            a[..., keep] for a in (yc, w, wy, sw, b, v, t0, t0_v, best_b, best_alpha))
         ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap, best_b0, best_eq = (
             [a[k] for k in keep]
             for a in (ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap,
@@ -637,18 +628,18 @@ def _fit_columns(
                         v, t0_v, tk = b.copy(), t0.copy(), [1.0] * len(ids)
                     left = None
                 survivors = []
-                w_min = w.min(axis=0).tolist() if screening else None
                 for k, done in enumerate(certified):
                     if done:
                         finish(k)
                     elif out_of_iterations:
                         finish(k, out_of_iterations_message(k))
                     elif screening:
-                        safe = _gap_safe_survivors(
-                            cols, corr[:, k], norms[:, k],
-                            math.sqrt(_ball_factor(nu, w_min[k]) * gap[k]), lam, b[:, k], v[:, k])
-                        survivors.append(_prioritized(safe, corr[:, k], norms[:, k], lam,
-                                                      b[:, k], v[:, k], least))
+                        norms_k = norms[:, ids[k]]
+                        safe = _gap_safe_survivors(cols, corr[:, k], norms_k,
+                                                   math.sqrt(2.0 * nu * gap[k]), lam, b[:, k],
+                                                   v[:, k])
+                        survivors.append(_prioritized(safe, corr[:, k], norms_k, lam, b[:, k],
+                                                      v[:, k], least))
                 if finished:
                     drop_finished()
                     if not ids:

@@ -311,6 +311,37 @@ def test_overflowing_input_exit_3(feature_scale, label_scale, flags, message, tm
     assert all(line.startswith("error: " + message) for line in errors)
 
 
+def test_non_finite_lambda_exit_3(reg_file):
+    """An infinite lambda, given or from a ratio times lambda_max, is refused
+    before the fit, which once failed through a NaN start objective and a
+    numpy warning."""
+    commands = [["solve", reg_file, "--lambda-absolute", "inf"],
+                ["screen", reg_file, "--lambda-ratio", "1e308"]]
+    src = str(Path(drfs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(done.stdout) == [3, 3]
+    assert done.stderr.splitlines() == ["error: lambda must be finite and > 0, got inf"] * 2
+
+
+@pytest.mark.parametrize("argv,remedy", [
+    (["solve", "--lambda-ratio", "0.5"], "pass --lambda-absolute"),
+    (["screen", "--lambda-ratio", "0.5"], "pass --lambda-absolute"),
+    (["grid"], "screen with `drfs screen --lambda-absolute` instead"),
+])
+def test_zero_lambda_max_exit_3(argv, remedy, tmp_path, capsys):
+    """Constant squared-loss labels leave nothing to correlate with, so
+    lambda_max is 0 and no ratio gives a usable lambda; an absolute one does."""
+    path = tmp_path / "constant.csv"
+    path.write_text("1,0.5\n1,1.5\n1,2.5\n", encoding="utf-8")
+    assert main([argv[0], str(path), "--format", "csv", *argv[1:]]) == 3
+    assert capsys.readouterr().err == (
+        "error: lambda_max is 0 (no feature correlates with the residuals of the intercept-only "
+        f"fit), so every lambda ratio gives lambda = 0; {remedy}\n")
+    assert main(["solve", str(path), "--format", "csv", "--lambda-absolute", "0.1"]) == 0
+
+
 @pytest.fixture(scope="module")
 def large_label_file(tmp_path_factory):
     """20x3 regression with labels of order 1e8: the squared loss's dual shift

@@ -4,14 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drfs import (
+    ConvergenceError,
     Dataset,
     FitConfig,
     LossKind,
     Task,
     WeightBox,
     build_reference,
+    conjugate_neg,
     dg_radius,
     dual_objective,
     duality_gap,
@@ -110,8 +113,10 @@ class TestRhoVector:
             assert np.all(rho >= vals - 1e-12)
 
 
-def _hand_bound(ds, model, delta, lam, j):
-    """Sorted-pairing bound recomputed from scratch for the squared loss."""
+def _hand_bound(ds, model, delta, lam, j, euclidean=False):
+    """Sorted-pairing bound recomputed from scratch for the squared loss: the
+    weighted gap ball sqrt(max sum_i w_i x_ij^2 * 2 nu gbar), or with
+    euclidean the older ball sqrt(max sum_i w_i^2 x_ij^2 * 2 nu gbar / (1 - delta))."""
     y, x = ds.y, ds.x
     alpha = model.alpha
     margins = x @ model.b + model.b0
@@ -128,9 +133,12 @@ def _hand_bound(ds, model, delta, lam, j):
         np.full(half, 1 + delta),
     ])
     gbar = max(0.0, float(np.sort(rho) @ w_sharp) + lam * float(np.sum(np.abs(model.b))))
-    nmax2 = float(np.sort(x[:, j] ** 2) @ w_sharp**2)
     first = abs(float(alpha @ x[:, j]))
-    return first + math.sqrt(nmax2 * (2.0 * 2.0 / (1 - delta)) * gbar)
+    if euclidean:
+        nmax2 = float(np.sort(x[:, j] ** 2) @ w_sharp**2)
+        return first + math.sqrt(nmax2 * (2.0 * 2.0 / (1 - delta)) * gbar)
+    nmax = float(np.sort(x[:, j] ** 2) @ w_sharp)
+    return first + math.sqrt(nmax * (2.0 * 2.0) * gbar)
 
 
 class TestUpperBounds:
@@ -159,20 +167,22 @@ class TestUpperBounds:
         delta = 0.5
         box = WeightBox(2, delta)
         ref = build_reference(toy_1d, model, box)
-        assert screen(toy_1d, ref, box).bounds[0] == pytest.approx(
-            _hand_bound(toy_1d, model, delta, lam, 0), rel=1e-12
-        )
+        bound = screen(toy_1d, ref, box).bounds[0]
+        assert bound == pytest.approx(_hand_bound(toy_1d, model, delta, lam, 0), rel=1e-12)
+        assert bound < _hand_bound(toy_1d, model, delta, lam, 0, euclidean=True)
 
     def test_hand_formula_on_wider_problem(self, reg40):
         lam, model, box, ref, _ = screen_setup(reg40, SQ, 0.2, 1.0)
         for j in (0, 7, 14):
-            assert screen(reg40, ref, box).bounds[j] == pytest.approx(
-                _hand_bound(reg40, model, box.delta, lam, j), rel=1e-12
-            )
+            bound = screen(reg40, ref, box).bounds[j]
+            assert bound == pytest.approx(_hand_bound(reg40, model, box.delta, lam, j), rel=1e-12)
+            assert bound <= _hand_bound(reg40, model, box.delta, lam, j, euclidean=True)
 
     def test_dominates_corner_environment_bounds(self, toy_1d):
         """The robust bound beats the per-environment bound at every corner,
-        with the latter recomputed from primal/dual evaluations directly."""
+        with the latter recomputed from primal/dual evaluations directly; the
+        per-environment bound is at most the Euclidean-ball one, whose radius
+        sqrt(2 nu gap / (1 - delta)) multiplies sqrt(sum_i w_i^2 x_ij^2)."""
         lam = 0.1
         model = uniform_fit(toy_1d, SQ, lam)
         box = WeightBox(2, 0.5)
@@ -182,11 +192,14 @@ class TestUpperBounds:
             alpha_hat = ref.q * ref.alpha_star / w
             p = primal_objective(toy_1d, w, SQ, lam, ref.b, ref.b0)
             d = dual_objective(toy_1d, w, SQ, alpha_hat)
-            direct = abs(float(np.dot(w * alpha_hat, toy_1d.x[:, 0]))) + math.sqrt(
+            first = abs(float(np.dot(w * alpha_hat, toy_1d.x[:, 0])))
+            direct = first + math.sqrt(float(np.dot(w, toy_1d.x[:, 0] ** 2)) * 4.0 * (p - d))
+            euclidean = first + math.sqrt(
                 float(np.dot(w * w, toy_1d.x[:, 0] ** 2)) * (4.0 / (1 - box.delta)) * (p - d)
             )
             assert ub_for_weight(0, w, ref, toy_1d, box) == pytest.approx(direct, rel=1e-12)
             assert direct <= robust + 1e-9
+            assert direct <= euclidean
 
 
 class TestUbForWeight:
@@ -218,13 +231,24 @@ class TestUbForWeight:
 
     @pytest.mark.parametrize("fixture,kind", [("reg40", SQ), ("clf40", LOG)])
     def test_sampled_dominance(self, fixture, kind, request):
+        """ub_for_weight lies between the Euclidean-ball bound at the same w,
+        sqrt(sum_i w_i^2 x_ij^2 * 2 nu gap / (1 - delta)) past the correlation
+        term, and the screen() bound."""
         ds = request.getfixturevalue(fixture)
-        _, model, box, ref, report = screen_setup(ds, kind, 0.3, 1.0)
+        lam, model, box, ref, report = screen_setup(ds, kind, 0.3, 1.0)
         rng = np.random.default_rng(1)
         for k in range(100):
             w = sample_feasible(box, rng, "corner" if k % 2 else "interior")
+            alpha_hat = ref.q * ref.alpha_star / w
+            gap = duality_gap(ds, w, kind, lam, ref.b, ref.b0, alpha_hat)
             for j in range(0, ds.d, 3):
-                assert ub_for_weight(j, w, ref, ds, box) <= report.bounds[j] + 1e-9
+                ub = ub_for_weight(j, w, ref, ds, box)
+                col = ds.x[:, j]
+                euclidean = abs(float(np.dot(w * alpha_hat, col))) + math.sqrt(
+                    float(np.dot(w * w, col * col)) * 2.0 * nu_constant(kind) / (1 - box.delta)
+                    * gap)
+                assert ub <= euclidean * (1 + 1e-12)
+                assert ub <= report.bounds[j] + 1e-9
 
 
 class TestBallContainment:
@@ -246,6 +270,97 @@ class TestBallContainment:
                 warm_start=(model.b, model.b0),
             )
             assert np.linalg.norm(resolved.alpha - alpha_hat) <= radius * (1 + 1e-6)
+
+
+# random small problems: both losses, n <= 40, d <= 12, any lambda ratio and delta
+_DRAWN = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from([SQ, LOG]),
+    n=st.integers(4, 40),
+    d=st.integers(1, 12),
+    ratio=st.floats(0.05, 1.0),
+    delta=st.floats(0.0, 0.9),
+)
+
+
+def _fit_or_best(dataset, w, kind, lam, config, warm_start=None):
+    """The fit, or the best iterate it carries when the iterations run out:
+    its dual point is feasible and its gap is its own, which is all the ball
+    needs."""
+    try:
+        return fit_weighted_erm(dataset, w, kind, lam, config, warm_start)
+    except ConvergenceError as exc:
+        return exc.model
+
+
+def _drawn_screen(seed, kind, n, d, ratio, delta):
+    """A standardized synth problem, its reference fit at ratio * lambda_max,
+    the reference and the screen at delta."""
+    task = Task.REGRESSION if kind is SQ else Task.BINARY
+    dataset = standardize(synth(task, n, d, min(3, d), 0.5, seed)[0])[0]
+    lam = ratio * lambda_max(dataset, np.ones(n), kind)
+    model = _fit_or_best(dataset, np.ones(n), kind, lam, FitConfig(max_iterations=5000))
+    box = WeightBox(n, delta)
+    ref = build_reference(dataset, model, box)
+    return dataset, lam, model, box, ref, screen(dataset, ref, box)
+
+
+def _gap_rounding(dataset, w, kind, lam, b, b0, alpha):
+    """An allowance for the rounding of a duality gap evaluation: gamma =
+    2 (n + d) eps of the absolute sum of its terms (Higham, ch. 4).  Near
+    zero the gap is a cancelling difference of that size, which max(0, .)
+    may clamp to 0, so a radius from it alone can be too small."""
+    n, d = dataset.x.shape
+    terms = (primal_objective(dataset, w, kind, lam, b, b0)
+             + float(np.dot(w, np.abs(conjugate_neg(kind, dataset.y, alpha)))))
+    return 2 * (n + d) * np.finfo(float).eps * terms
+
+
+class TestDrawnProblems:
+    @settings(max_examples=40, deadline=None)
+    @given(**_DRAWN)
+    def test_robust_bound_dominates_per_weight_bound(self, seed, kind, n, d, ratio, delta):
+        """Criterion 3 on random problems: at sampled corners and interior
+        points, ub_for_weight stays within the screen() bound, up to the
+        rounding of the two gaps (screen's rounds like the gap at w) and of
+        the correlation terms, 2 (n + d) eps sum_i |q alpha_i x_ij| each."""
+        dataset, lam, _, box, ref, report = _drawn_screen(seed, kind, n, d, ratio, delta)
+        nu = nu_constant(kind)
+        gamma = 2 * (n + d) * np.finfo(float).eps
+        rng = np.random.default_rng(seed)
+        for k in range(6):
+            w = sample_feasible(box, rng, "corner" if k % 2 else "interior")
+            alpha_hat = ref.q * ref.alpha_star / w
+            err = 2 * _gap_rounding(dataset, w, kind, lam, ref.b, ref.b0, alpha_hat)
+            for j in range(d):
+                col = dataset.x[:, j]
+                rounding = (math.sqrt(float(np.dot(w, col * col)) * 2.0 * nu * err)
+                            + 2 * gamma * float(np.abs(ref.q * ref.alpha_star) @ np.abs(col)))
+                assert ub_for_weight(j, w, ref, dataset, box) <= report.bounds[j] + rounding
+
+    @settings(max_examples=30, deadline=None)
+    @given(**_DRAWN)
+    def test_resolved_duals_stay_in_weighted_ball(self, seed, kind, n, d, ratio, delta):
+        """The re-weighted dual optimum lies within sqrt(2 nu gap_w) of the
+        rescaled dual point in ||a||_w = sqrt(sum_i w_i a_i^2).  A re-solved
+        dual point is itself within sqrt(2 nu gap) of that optimum, by the
+        same strong concavity, so the two radii add up; each gap gets its
+        rounding allowance."""
+        dataset, lam, model, box, ref, _ = _drawn_screen(seed, kind, n, d, ratio, delta)
+        nu = nu_constant(kind)
+        config = FitConfig(gap_tolerance=1e-12 * objective_scale(dataset, np.ones(n), kind),
+                           max_iterations=20_000)
+        rng = np.random.default_rng(seed)
+        for k in range(4):
+            w = sample_feasible(box, rng, "corner" if k % 2 else "interior")
+            alpha_hat = ref.q * ref.alpha_star / w
+            gap = (duality_gap(dataset, w, kind, lam, ref.b, ref.b0, alpha_hat)
+                   + _gap_rounding(dataset, w, kind, lam, ref.b, ref.b0, alpha_hat))
+            resolved = _fit_or_best(dataset, w, kind, lam, config, (model.b, model.b0))
+            resolved_gap = resolved.gap + _gap_rounding(dataset, w, kind, lam, resolved.b,
+                                                        resolved.b0, resolved.alpha)
+            distance = math.sqrt(float(np.dot(w, (resolved.alpha - alpha_hat) ** 2)))
+            assert distance <= math.sqrt(2.0 * nu * gap) + math.sqrt(2.0 * nu * resolved_gap)
 
 
 class TestScreen:
@@ -338,9 +453,14 @@ class TestColumnCache:
         x = dataset.x
         first = ref.q * np.abs(x.T @ ref.alpha_star)
         gbar = max(0.0, max_linear(rho_vector(ref), box) + ref.lam * float(np.sum(np.abs(ref.b))))
-        nmax_sq = worst_case_weights(box) ** 2 @ np.sort(x * x, axis=0)
-        oracle = first + np.sqrt(nmax_sq * (2.0 * nu_constant(SQ) / (1.0 - delta)) * gbar)
+        sorted_sq = np.sort(x * x, axis=0)
+        nmax = worst_case_weights(box) @ sorted_sq
+        oracle = first + np.sqrt(nmax * (2.0 * nu_constant(SQ)) * gbar)
         np.testing.assert_allclose(report.bounds, oracle, rtol=1e-13, atol=0)
+        # the Euclidean ball's term, sqrt(max sum_i w_i^2 x_ij^2 * 2 nu gbar / (1 - delta))
+        nmax_sq = worst_case_weights(box) ** 2 @ sorted_sq
+        euclidean = first + np.sqrt(nmax_sq * (2.0 * nu_constant(SQ) / (1.0 - delta)) * gbar)
+        assert np.all(report.bounds <= euclidean * (1 + 1e-13))
 
     def test_independent_of_screening_order(self):
         deltas = [0.0, 1e-3, 0.1, 0.5]

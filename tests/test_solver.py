@@ -762,11 +762,14 @@ class TestStepSearchGiveUp:
 
 @pytest.mark.parametrize("n,d", [(40, 15), (700, 150)])
 def test_column_square_sums(n, d):
-    """One column block reproduces (x*x).T @ w bit for bit; several agree to rounding."""
+    """One column block reproduces (x*x).T @ w bit for bit, for a weight vector
+    and for weight columns (n, T); several agree to rounding."""
     x = np.asfortranarray(np.random.default_rng(n).standard_normal((n, d)))
     w = np.random.default_rng(d).uniform(0.5, 1.5, size=n)
-    sums, sums_sq = _column_square_sums(x, w, w * w)
+    columns = np.stack([w, w * w], axis=1)
+    sums, column_sums = _column_square_sums(x, w), _column_square_sums(x, columns)
     if x.nbytes <= COLUMN_BLOCK_BYTES:
         np.testing.assert_array_equal(sums, (x * x).T @ w)
+        np.testing.assert_array_equal(column_sums, (x * x).T @ columns)
     np.testing.assert_allclose(sums, (x * x).T @ w, rtol=1e-13)
-    np.testing.assert_allclose(sums_sq, (x * x).T @ (w * w), rtol=1e-13)
+    np.testing.assert_allclose(column_sums, (x * x).T @ columns, rtol=1e-13)

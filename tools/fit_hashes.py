@@ -16,6 +16,12 @@ acceptance gate's 12 verify configurations (the 40x15 problems, lambda in
 draws the verifier solves in batches.  Running it on two trees and diffing
 the output shows whether any of those results changed by a single bit.
 
+The `bounds` lines hash the certificate itself: the bytes of the screen
+bounds of the 40x15 problems' uniform fits at lambda in {0.1, 0.3} *
+lambda_max, one line per V in {0, 0.01, 0.1, 1}.  A change to the bound's
+formula shows there as the shifts whose lines moved; at V = 0 every weight
+is 1, so the line moves only when the uniform fits or the no-shift bound do.
+
 The `large` line covers inputs over the solver's 1 MiB threshold, whose
 fits may round differently in the last bits between trees, so it hashes
 each fit's support and each screen's removed mask, not floats.  The
@@ -121,6 +127,24 @@ def verify_outcomes():
                                                   seed=99, reference_model=model)
 
 
+BOUNDS_V = (0.0, 0.01, 0.1, 1.0)
+
+
+def bounds_outcomes():
+    """Per V in BOUNDS_V, the screen bounds of the 40x15 problems' uniform
+    fits at lambda in {0.1, 0.3} * lambda_max."""
+    bounds = {v: [] for v in BOUNDS_V}
+    for _, dataset, kind in PROBLEMS[:2]:
+        w1 = np.ones(dataset.n)
+        lam_max = lambda_max(dataset, w1, kind)
+        for ratio in (0.1, 0.3):
+            model = fit_weighted_erm(dataset, w1, kind, ratio * lam_max)
+            for v in BOUNDS_V:
+                box = WeightBox(dataset.n, delta_from_v(v, dataset.n))
+                bounds[v].append(screen(dataset, build_reference(dataset, model, box), box).bounds)
+    return bounds
+
+
 def large_outcomes():
     """The support of each LARGE fit, then the removed mask of each screen."""
     for _, dataset, kind in LARGE:
@@ -180,6 +204,11 @@ def main() -> None:
     for outcome in verify_outcomes():
         outcomes.update(outcome.to_json().encode())
     print("verify", outcomes.hexdigest())
+    for v, parts in bounds_outcomes().items():
+        digest = hashlib.sha256()
+        for part in parts:
+            digest.update(np.asarray(part, dtype=float).tobytes())
+        print("bounds", v, digest.hexdigest()[:16])
     large = hashlib.sha256()
     for part in large_outcomes():
         large.update(np.asarray(part, dtype=np.int64).tobytes())
