@@ -17,7 +17,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .uncertainty import _squared_half_sums
+from .uncertainty import _column_square_sums, _squared_half_sums
 
 
 class ParseError(ValueError):
@@ -43,8 +43,9 @@ class Task(Enum):
 class Dataset:
     """A design matrix and its labels.
 
-    `x` is stored read-only: screening caches column statistics of it for
-    the life of the dataset.
+    `x` is stored read-only: column statistics of it are cached for the life
+    of the dataset, the half-sums of x*x that `screen` pairs with every
+    weight box and the sums sum_i x_ij^2 that every unit-weight fit reads.
     """
 
     x: np.ndarray
@@ -84,6 +85,14 @@ class Dataset:
     def _x_sq_half_sums(self) -> np.ndarray:
         """The (3, d) half-sums of x*x that screen pairs with every weight box."""
         return _squared_half_sums(self.x)
+
+    @cached_property
+    def _x_sq_sums(self) -> np.ndarray:
+        """The (d, 1) sums sum_i x_ij^2 a fit at unit weights reads, bit for
+        bit those of _column_square_sums at one weight column of ones."""
+        sums = _column_square_sums(self.x, np.ones((self.n, 1)))
+        sums.flags.writeable = False  # every such fit shares them
+        return sums
 
 
 @dataclass(frozen=True)

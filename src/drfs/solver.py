@@ -29,7 +29,7 @@ from .losses import (
     nu_constant,
 )
 from .data import Dataset
-from .uncertainty import _column_blocks
+from .uncertainty import _column_blocks, _column_square_sums
 
 DEFAULT_GAP_SCALE = 1e-9
 DEFAULT_EQ_PER_ROW = 1e-10
@@ -37,8 +37,10 @@ DEFAULT_MAX_ITERATIONS = 100_000
 _CHECK_EVERY = 5
 # The size of x from which the solver exploits sparsity, on both sides:
 # the fit runs on prioritized working sets of the columns the Gap Safe rule
-# cannot certify zero, and _times_support multiplies only the columns of x
-# under nonzero coefficients.  Below it the fit does exactly the float
+# cannot certify zero, _times_support multiplies only the columns of x
+# under nonzero coefficients, and a full-matrix gap check multiplies only
+# the columns whose correlation bound can reach lambda
+# (_CorrelationBounds).  Below it the fit does exactly the float
 # operations of a dense one.  A full x.T @ v there costs less than an
 # iteration's interpreter overhead (2-CPU Intel VM, OpenBLAS on one thread:
 # x.T @ v 18 us at 1 MiB; a 40x15 iteration 35 us squared, 200 us
@@ -164,6 +166,27 @@ def _times_support(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _columns_times(x: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x[:, cols].T @ v for ascending column indices cols and v of shape (n,)
+    or (n, T).
+
+    When cols holds more than half of x's columns this is the rows cols of
+    x.T @ v itself.  Otherwise each run of consecutive columns is
+    multiplied as a view of x, so no copy of x is made.  OpenBLAS's x.T @ v
+    takes the columns four at a time and the last d mod 4 by narrower
+    kernels, so runs made of whole aligned groups of four (see
+    _multiplied_columns) round as in x.T @ v for a vector v; a batch v, or
+    another BLAS, may differ from it in the last bits.
+    """
+    if 2 * cols.size > x.shape[1]:
+        return (x.T @ v)[cols]
+    out = np.empty(cols.shape + v.shape[1:])
+    starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1).tolist()
+    for lo, hi in zip(starts, starts[1:] + [cols.size]):
+        out[lo:hi] = x[:, cols[lo]:cols[hi - 1] + 1].T @ v
+    return out
+
+
 def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> float:
     w = _check_weights(weights, (dataset.n,))
     b = np.asarray(b, dtype=float)
@@ -209,17 +232,24 @@ def duality_gap(
 
 
 def _repair_from_margins(
-    kind: LossKind, y: np.ndarray, x: np.ndarray, w: np.ndarray, lam: float, margins: np.ndarray
+    kind: LossKind, y: np.ndarray, x: np.ndarray, w: np.ndarray, lam: float, margins: np.ndarray,
+    bounds: "_CorrelationBounds | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The repaired dual point, |x.T (w o alpha)| at it and the factor it was
     shrunk by, for 1-D margins or for each column of margins (n, T) with y
-    and w of the same shape."""
+    and w of the same shape.
+
+    With the _CorrelationBounds of x, only the columns whose bound can reach
+    lam are multiplied; every other column is below lam and carries its
+    bound in place of |x_j.T (w o alpha)|, so the shrink is the one the
+    full product gives whenever the multiplied columns round as in x.T @ v.
+    """
     alpha = _dual_from_margin(kind, y, margins)
     if kind is LossKind.SQUARED:
         # domain is all of R, so the equality constraint can be zeroed up to
         # the rounding of the shift (see _EQ_ROUNDING_PER_ROW)
         alpha = alpha - np.vecdot(w, alpha, axis=0) / w.sum(axis=0)
-    corr = np.abs(x.T @ (w * alpha))
+    corr = np.abs(x.T @ (w * alpha)) if bounds is None else bounds.correlations(w, alpha, lam)
     # shrinking toward zero preserves both dual constraints and, for the
     # logistic loss, the conjugate domain; a column within lam gets exactly 1.0
     shrink = lam / np.maximum(corr.max(axis=0, initial=0.0), lam)
@@ -266,17 +296,6 @@ def _soft_threshold(z: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
 
 
-def _column_square_sums(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i x_ij^2 for a weight vector w, or each column of w (n, T),
-    one column block of x at a time so no full x*x copy is made; a single
-    block gives exactly (x*x).T @ w."""
-    sums = np.empty(x.shape[1:] + w.shape[1:])
-    for cols in _column_blocks(x):
-        with np.errstate(over="ignore"):  # the fit checks the sums are finite
-            sums[cols] = np.square(x[:, cols]).T @ w
-    return sums
-
-
 def _gap_safe_survivors(
     cols: np.ndarray, corr: np.ndarray, norms: np.ndarray, radius: float, lam: float,
     b: np.ndarray, v: np.ndarray,
@@ -284,8 +303,9 @@ def _gap_safe_survivors(
     """The columns cols (indices into x) the Gap Safe sphere cannot certify
     zero at the optimum.
 
-    corr holds |x_j.T (w o alpha)| at a feasible dual point alpha, norms
-    sqrt(sum_i w_i x_ij^2), and the dual optimum lies within radius of
+    corr holds |x_j.T (w o alpha)| at a feasible dual point alpha (for a
+    column a _CorrelationBounds skipped, an upper bound this rule drops),
+    norms sqrt(sum_i w_i x_ij^2), and the dual optimum lies within radius of
     alpha in the norm ||a||_w = sqrt(sum_i w_i a_i^2), so by Cauchy-Schwarz
     a column with corr + norms * radius < lam is zero in every optimum
     (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017).  Columns with a nonzero
@@ -318,6 +338,78 @@ def _prioritized(
             score = (lam - corr[rest]) / norms[rest]
         rest = rest[np.argpartition(score, room)[:room]]
     return np.union1d(survivors[held], rest)
+
+
+def _multiplied_columns(undecided: np.ndarray) -> np.ndarray:
+    """The columns of x a full-matrix check multiplies, in ascending order,
+    from the (d, T) mask of those whose bound cannot decide for a column of
+    the batch: each aligned group of four columns (the last one holds d mod
+    4) that holds a column undecided for any of them, so that
+    _columns_times rounds them as x.T @ v does."""
+    d = undecided.shape[0]
+    groups = np.zeros(-(-d // 4) * 4, dtype=bool)
+    groups[:d] = undecided.any(axis=1)
+    return np.flatnonzero(groups.reshape(-1, 4).any(axis=1).repeat(4)[:d])
+
+
+class _CorrelationBounds:
+    """Upper bounds ub (d, T) on the raw correlations |x_j.T (w o alpha)|
+    at each full-matrix check of a fit, per column of x and of the batch,
+    so that a check multiplies only the columns whose bound cannot decide.
+
+    From one check to the next, alpha moves by shift = ||alpha - alpha_prev||_w
+    (||a||_w^2 = sum_i w_i a_i^2), so by the triangle inequality and
+    Cauchy-Schwarz in ||.||_w a correlation moves by at most
+    norms_j * shift, norms_j = sqrt(sum_i w_i x_ij^2).  Any computed product
+    x_j.T (w o alpha) is off the exact one by at most
+    gamma_{n+1} norms_j ||alpha||_w (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).  The update adds gamma = 2 (n + 4) eps
+    times shift + ||alpha_prev||_w + ||alpha||_w, which covers both
+    products and the rounding of the norms and of shift, and a factor
+    1 + 4 eps for its own three roundings.  So every bound stays at least
+    the correlation that x.T @ (w o alpha) computes.  A multiplied column's
+    bound is reset to its computed correlation; at the first check every
+    bound is inf, so every column is multiplied.
+    """
+
+    def __init__(self, x: np.ndarray, norms: np.ndarray):
+        n = x.shape[0]
+        self.x, self.norms = x, norms
+        self.ub = np.full(norms.shape, np.inf)
+        self.alpha, self.alpha_norm = np.zeros((n, norms.shape[1])), np.zeros(norms.shape[1])
+        self.gamma = 2 * (n + 4) * np.finfo(float).eps
+        # this check's w o alpha, and the columns it multiplied
+        self.wa, self.exact = None, np.zeros(norms.shape[0], dtype=bool)
+
+    def correlations(self, w: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
+        """Advance the bounds to the raw dual points alpha (n, T), multiply
+        every column whose bound reaches lam and return the bounds, exact
+        where multiplied.  A column it skips has ub_j < lam (1 - 4 eps), so
+        every correlation that reaches lam, and so decides the shrink, is
+        multiplied, and so is every column that could tie with the largest
+        once shrunk."""
+        eps = np.finfo(float).eps
+        shift = np.sqrt(np.vecdot(w, np.square(alpha - self.alpha), axis=0))
+        alpha_norm = np.sqrt(np.vecdot(w, np.square(alpha), axis=0))
+        step = shift + self.gamma * (shift + self.alpha_norm + alpha_norm)
+        self.ub = (self.ub + self.norms * step) * (1.0 + 4.0 * eps)
+        self.alpha, self.alpha_norm, self.wa = alpha, alpha_norm, w * alpha
+        self.exact[:] = False
+        self.refine(self.ub >= lam * (1.0 - 4.0 * eps))
+        return self.ub
+
+    def refine(self, undecided: np.ndarray) -> np.ndarray:
+        """Multiply the columns of the (d, T) mask undecided that this check
+        has not multiplied yet; returns them."""
+        cols = _multiplied_columns(undecided & ~self.exact[:, None])
+        self.ub[cols] = np.abs(_columns_times(self.x, cols, self.wa))
+        self.exact[cols] = True
+        return cols
+
+    def keep(self, columns: list[int]) -> None:
+        """Keep the bounds of these batch columns only."""
+        self.norms, self.ub, self.alpha, self.alpha_norm = (
+            a[..., columns] for a in (self.norms, self.ub, self.alpha, self.alpha_norm))
 
 
 _EQ_NEWTON_FLOOR = 64 * np.finfo(float).eps  # per unit of total weight
@@ -466,12 +558,18 @@ def _fit_columns(
     momentum restarts, `least` doubles, and once it reaches half the
     columns of x the fit goes on over all features (the restart took the
     grid_cli benchmark's 2000x200 fits, seeds 0-9, from 6110 to 5215
-    iterations, against 5930 without working sets).  Otherwise the full gap equals the reduced one, so every
-    round either certifies, shrinks a gap by _REJOIN_RATIO or doubles
-    `least`.  A fit returns only from a check on the full matrix, the best
-    iterate is taken only there, and step sizes stay those of the full
-    problem.  At that size the products with the coefficients also skip
-    their zero rows (_times_support).
+    iterations, against 5930 without working sets).  Otherwise the full gap
+    equals the reduced one, so every round either certifies, shrinks a gap
+    by _REJOIN_RATIO or doubles `least`.  A fit returns only from a check on
+    the full matrix, the best iterate is taken only there, and step sizes
+    stay those of the full problem.  At that size the products with the
+    coefficients also skip their zero rows (_times_support), and the checks
+    on the full matrix multiply only the columns a _CorrelationBounds cannot
+    decide: first those whose bound reaches lam, which leaves the shrink as
+    it is, then, once the gap is known, those the Gap Safe rule may keep,
+    so its survivors, the _prioritized scores and the missed-feature test
+    read the correlations a full product computes.  A fit at unit weights
+    reads sum_i x_ij^2 from the dataset (Dataset._x_sq_sums).
     """
     if config is None:
         config = FitConfig()
@@ -522,7 +620,9 @@ def _fit_columns(
     tk = [1.0] * batch
     least = _WORKING_SET_LEAST  # doubles when a working set misses a feature
     screening = x.nbytes >= _GAP_SAFE_MIN_BYTES and 2 * least < d
-    w_sq_sums = _column_square_sums(x, w)
+    # a fit at unit weights reads the sums cached on the dataset
+    unit = batch == 1 and bool(np.all(w == 1.0))
+    w_sq_sums = dataset._x_sq_sums if unit else _column_square_sums(x, w)
     with np.errstate(over="ignore"):  # an overflow fails the check below
         if config.gap_tolerance is not None:
             gap_tol = [config.gap_tolerance] * batch
@@ -535,6 +635,7 @@ def _fit_columns(
     # weighted dual is 1/nu strongly concave in ||a||_w, so its optimum lies
     # within sqrt(2 nu gap) of alpha in that norm
     norms = np.sqrt(w_sq_sums)
+    bounds = _CorrelationBounds(x, norms) if x.nbytes >= _GAP_SAFE_MIN_BYTES else None
     lip = list(l_min)
     if not all(map(math.isfinite, l_min + obj_curr)):
         raise ValueError("the fit overflows: the squared features or the starting losses "
@@ -587,12 +688,15 @@ def _fit_columns(
             [a[k] for k in keep]
             for a in (ids, gap_tol, newton_target, l_min, lip, tk, b0, obj_curr, best_gap,
                       best_b0, best_eq))
+        if bounds is not None:
+            bounds.keep(keep)
         finished.clear()
 
     iterations = 0
     while ids:
         if iterations % _CHECK_EVERY == 0 or iterations >= config.max_iterations:
-            alpha, corr, shrink = _repair_from_margins(kind, yc, xa, w, lam, t0 + b0)
+            alpha, corr, shrink = _repair_from_margins(kind, yc, xa, w, lam, t0 + b0,
+                                                       bounds if xa is x else None)
             dual = _dual_value(kind, yc, w, alpha)
             gap = np.maximum(0.0, np.subtract(obj_curr, dual)).tolist()
             eq_residual = np.abs(np.vecdot(w, alpha, axis=0)).tolist()
@@ -627,6 +731,13 @@ def _fit_columns(
                         screening = screening and 2 * least < d
                         v, t0_v, tk = b.copy(), t0.copy(), [1.0] * len(ids)
                     left = None
+                if bounds is not None and screening and not out_of_iterations:
+                    # every column the Gap Safe rule below may keep gets its
+                    # computed correlation; the rest stay below lam on their bound
+                    radius = np.sqrt(2.0 * nu * np.array(gap))
+                    undecided = (corr + bounds.norms * radius >= lam) & ~np.array(certified)
+                    exact = bounds.refine(undecided)
+                    corr[exact] = bounds.ub[exact] * shrink
                 survivors = []
                 for k, done in enumerate(certified):
                     if done:

@@ -20,7 +20,7 @@ from drfs import (
     recover_dual,
     synth,
 )
-from drfs import solver
+from drfs import data, solver
 from drfs.losses import _sigmoid_neg
 from drfs.solver import (
     DEFAULT_EQ_PER_ROW,
@@ -318,16 +318,28 @@ def _record_rule(monkeypatch, calls: list) -> None:
     monkeypatch.setattr(solver, "_gap_safe_survivors", recording)
 
 
-def _record_checks(monkeypatch, widths: list) -> None:
+def _record_checks(monkeypatch, widths: list, multiplied: list | None = None) -> None:
     """Wrap the dual repair, collecting the number of columns of x each gap
-    check runs on: d on the full matrix, fewer on a working set."""
+    check runs on: d on the full matrix, fewer on a working set.  multiplied,
+    when given, collects how many of those columns each check multiplied:
+    all of them on a dense check, and on a full check with correlation
+    bounds the columns _columns_times took, in both phases."""
     repair = solver._repair_from_margins
+    times = solver._columns_times
 
-    def recording(kind, y, x, *rest):
+    def recording(kind, y, x, w, lam, margins, bounds=None):
         widths.append(x.shape[1])
-        return repair(kind, y, x, *rest)
+        if multiplied is not None:
+            multiplied.append(x.shape[1] if bounds is None else 0)
+        return repair(kind, y, x, w, lam, margins, bounds)
+
+    def counting(x, cols, v):
+        multiplied[-1] += cols.size
+        return times(x, cols, v)
 
     monkeypatch.setattr(solver, "_repair_from_margins", recording)
+    if multiplied is not None:
+        monkeypatch.setattr(solver, "_columns_times", counting)
 
 
 def _working_sets(monkeypatch, least: int) -> None:
@@ -357,15 +369,18 @@ class TestGapSafeWorkingSet:
         lam = ratio * lambda_max(ds, w, kind)
         calls: list = []
         widths: list = []
+        multiplied: list = []
         gap_tol = 1e-9 * objective_scale(ds, w, kind)
         with pytest.MonkeyPatch.context() as mp:
             _working_sets(mp, least)
             _record_rule(mp, calls)
-            _record_checks(mp, widths)
+            _record_checks(mp, widths, multiplied)
             model = fit_weighted_erm(ds, w, kind, lam)
             # duality_gap takes the support products the fit took
             _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol)
         assert min(widths) <= least < d and widths[-1] == d
+        # the first check multiplies every column, the others at most all
+        assert multiplied[0] == d and all(m <= c for m, c in zip(multiplied, widths))
         # the rule certifies zeros of the full problem, so it sees every column
         assert all(cols.size == d for cols, _ in calls)
         # the dense x @ b sums in another order
@@ -383,11 +398,19 @@ class TestGapSafeWorkingSet:
         lam = 0.5 * lambda_max(reg40, w, SQ)
         calls: list = []
         widths: list = []
+        multiplied: list = []
         _working_sets(monkeypatch, 2)
         _record_rule(monkeypatch, calls)
-        _record_checks(monkeypatch, widths)
+        _record_checks(monkeypatch, widths, multiplied)
         model = fit_weighted_erm(reg40, w, SQ, lam)
         assert min(widths) < reg40.d and widths[0] == widths[-1] == reg40.d
+        # a working-set check multiplies its columns; the first full check
+        # multiplies every column, and a later one skips the columns whose
+        # correlation bound stays below lam
+        full = [m for m, c in zip(multiplied, widths) if c == reg40.d]
+        assert [m for m, c in zip(multiplied, widths) if c < reg40.d] == [
+            c for c in widths if c < reg40.d]
+        assert full[0] == reg40.d and min(full) < reg40.d
         assert len(calls) == widths.count(reg40.d) - 1  # every full check but the last
         assert all(cols.size == reg40.d for cols, _ in calls)
         _assert_certified_on_full_matrix(reg40, w, SQ, lam, model,
@@ -507,6 +530,107 @@ class TestGapSafeWorkingSet:
         model = fit_weighted_erm(ds, w, LOG, lam)
         _assert_certified_on_full_matrix(ds, w, LOG, lam, model,
                                          1e-9 * objective_scale(ds, w, LOG))
+
+
+def _results(fits) -> list:
+    """b, b0, iterations and support of each result of _fit_columns, taken
+    from the best iterate a ConvergenceError carries."""
+    models = [r.model if isinstance(r, ConvergenceError) else r for r in fits]
+    return [(isinstance(r, ConvergenceError), m.b, m.b0, m.iterations, m.support)
+            for r, m in zip(fits, models)]
+
+
+class TestLazyChecks:
+    """A full-matrix check with correlation bounds multiplies only the
+    columns whose bound can reach lambda, and the fit decides as if it had
+    multiplied all of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([SQ, LOG]),
+        n=st.integers(4, 40),
+        d=st.integers(3, 30),
+        batch=st.integers(1, 3),
+        far_start=st.booleans(),
+        ratio=st.floats(0.05, 0.9),
+        delta=st.floats(0.0, 0.9),
+        least=st.integers(1, 5),
+    )
+    def test_skipped_columns_are_bounded_and_decide_nothing(self, seed, kind, n, d, batch,
+                                                            far_start, ratio, delta, least):
+        """Each column a check skips has a bound at least its computed
+        correlation |x_j.T (w o alpha)| and below lambda, and the fit returns
+        what it returns when every column is multiplied.  A far-off warm start
+        moves alpha a long way between checks, so the bounds grow past lambda
+        and the Gap Safe survivors are multiplied after the gap is known."""
+        ds = _random_problem(seed, n, d, kind)
+        rng = np.random.default_rng(seed + 1)
+        weights = rng.uniform(1.0 - delta, 1.0 + delta, size=(n, batch))
+        lam = ratio * lambda_max(ds, np.ones(n), kind)
+        warm = (3.0 * rng.standard_normal(d), 1.0) if far_start else None
+        config = FitConfig(max_iterations=2000)  # the d > n squared fit can stall
+        repair = solver._repair_from_margins
+        skipped = []
+
+        def checking(kind_, y, x, w, lam_, margins, bounds=None):
+            out = repair(kind_, y, x, w, lam_, margins, bounds)
+            if bounds is not None:
+                rows = ~bounds.exact
+                assert np.all(bounds.ub[rows] >= np.abs(x.T @ bounds.wa)[rows])
+                assert np.all(bounds.ub[rows] < lam_)
+                skipped.append(int(rows.sum()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            _working_sets(mp, least)
+            mp.setattr(solver, "_repair_from_margins", checking)
+            lazy = solver._fit_columns(ds, weights, kind, lam, config, warm)
+            mp.setattr(solver, "_multiplied_columns", lambda undecided: np.arange(d))
+            dense = solver._fit_columns(ds, weights, kind, lam, config, warm)
+        assert skipped
+        for got, want in zip(_results(lazy), _results(dense), strict=True):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_multiplies_only_undecided_groups(self):
+        """The chooser takes whole aligned groups of four columns, and their
+        product rounds as the full x.T @ v, from views of x."""
+        rng = np.random.default_rng(8)
+        x = np.asfortranarray(rng.standard_normal((300, 23)))
+        v = rng.standard_normal(300)
+        undecided = np.zeros((23, 2), dtype=bool)
+        undecided[[1, 9, 21], [0, 1, 0]] = True
+        cols = solver._multiplied_columns(undecided)
+        np.testing.assert_array_equal(cols, [0, 1, 2, 3, 8, 9, 10, 11, 20, 21, 22])
+        tracemalloc.start()
+        try:
+            got = solver._columns_times(x, cols, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x[:, :1].nbytes  # no column of x was copied
+        np.testing.assert_array_equal(got, (x.T @ v)[cols])
+        np.testing.assert_array_equal(solver._columns_times(x, cols[:0], v), np.empty(0))
+        batch = rng.standard_normal((300, 2))
+        np.testing.assert_allclose(solver._columns_times(x, cols, batch), (x.T @ batch)[cols],
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_large_fit_skips_columns(self):
+        """A default fit on x over _GAP_SAFE_MIN_BYTES multiplies every column
+        at its first full check, and few at its last, near the optimum."""
+        n, d = 1100, 120
+        ds = _random_problem(5, n, d, SQ)
+        w = np.ones(n)
+        widths: list = []
+        multiplied: list = []
+        with pytest.MonkeyPatch.context() as mp:
+            _record_checks(mp, widths, multiplied)
+            model = fit_weighted_erm(ds, w, SQ, 0.2 * lambda_max(ds, w, SQ))
+        full = [m for m, c in zip(multiplied, widths) if c == d]
+        assert full[0] == d and 2 * full[-1] < d
+        _assert_certified_on_full_matrix(ds, w, SQ, model.lam, model,
+                                         1e-9 * objective_scale(ds, w, SQ))
 
 
 class TestTimesSupport:
@@ -773,3 +897,31 @@ def test_column_square_sums(n, d):
         np.testing.assert_array_equal(column_sums, (x * x).T @ columns)
     np.testing.assert_allclose(sums, (x * x).T @ w, rtol=1e-13)
     np.testing.assert_allclose(column_sums, (x * x).T @ columns, rtol=1e-13)
+
+
+def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
+    """A fit at unit weights takes sum_i x_ij^2 from the dataset, computed
+    once and bit-equal to _column_square_sums; any other fit computes its
+    own sums and leaves the cache alone."""
+    calls = []
+
+    def counting(x, w):
+        calls.append(w.shape)
+        return _column_square_sums(x, w)
+
+    monkeypatch.setattr(solver, "_column_square_sums", counting)
+    monkeypatch.setattr(data, "_column_square_sums", counting)
+    ds = _random_problem(6, 30, 8, SQ)
+    w = np.ones(ds.n)
+    lam = 0.3 * lambda_max(ds, w, SQ)
+    first = fit_weighted_erm(ds, w, SQ, lam)
+    assert calls == [(ds.n, 1)]
+    np.testing.assert_array_equal(ds._x_sq_sums, _column_square_sums(ds.x, np.ones((ds.n, 1))))
+    again = fit_weighted_erm(ds, w, SQ, lam)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(again.b, first.b)
+    other = _random_problem(6, 30, 8, SQ)
+    fit_weighted_erm(other, np.linspace(0.5, 1.5, other.n), SQ, lam)
+    fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam)
+    assert calls[1:] == [(other.n, 1), (other.n, 2)]
+    assert "_x_sq_sums" not in vars(other)

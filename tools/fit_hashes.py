@@ -40,6 +40,13 @@ seed 0 (standardized synth draws: squared seed 101 at lambda = 0.1 *
 lambda_max, logistic seed 103 at 0.05 * lambda_max), where the fit runs
 on small working sets for most of its iterations.  It hashes each fit's
 support and the removed mask of its screen at V = 0.1.
+
+The `path` line hashes the b, b0 and iterations of every fit behind the
+`large`, `batch` and `wide` lines (in that order; an inconclusive batch
+column counts with its best iterate), but not their alpha or gap.  A
+change to how the fit checks its gap then shows there whenever a decision
+moved (a stopping test, a working set, an iterate), while the last bits of
+a gap that no decision read do not move it.
 """
 
 import hashlib
@@ -145,22 +152,25 @@ def bounds_outcomes():
     return bounds
 
 
-def large_outcomes():
-    """The support of each LARGE fit, then the removed mask of each screen."""
+def large_outcomes(fitted):
+    """The support of each LARGE fit, then the removed mask of each screen;
+    each fit is appended to fitted."""
     for _, dataset, kind in LARGE:
         w1 = np.ones(dataset.n)
         lam_max = lambda_max(dataset, w1, kind)
         for ratio in (0.01, 0.1, 0.3):
             model = fit_weighted_erm(dataset, w1, kind, ratio * lam_max)
+            fitted.append(model)
             yield model.support
             for v in (0.0, 0.1, 1.0):
                 box = WeightBox(dataset.n, delta_from_v(v, dataset.n))
                 yield screen(dataset, build_reference(dataset, model, box), box).removed
 
 
-def batch_outcomes():
+def batch_outcomes(fitted):
     """Per LARGE problem and column of one 8-draw batch: whether it was
-    inconclusive, then its support."""
+    inconclusive, then its support; each column's model is appended to
+    fitted."""
     for _, dataset, kind in LARGE:
         w1 = np.ones(dataset.n)
         lam = 0.1 * lambda_max(dataset, w1, kind)
@@ -173,16 +183,20 @@ def batch_outcomes():
         for result in fit_weighted_erm(dataset, draws, kind, lam, config,
                                        warm_start=(uniform.b, uniform.b0)):
             inconclusive = isinstance(result, ConvergenceError)
+            model = result.model if inconclusive else result
+            fitted.append(model)
             yield [inconclusive]
-            yield (result.model if inconclusive else result).support
+            yield model.support
 
 
-def wide_outcomes():
-    """The support of each WIDE fit, then the removed mask of its screen."""
+def wide_outcomes(fitted):
+    """The support of each WIDE fit, then the removed mask of its screen;
+    each fit is appended to fitted."""
     for task, kind, ratio, seed in WIDE:
         dataset = problem(task, 10_000, 2_000, 20, 0.5, seed)
         w1 = np.ones(dataset.n)
         model = fit_weighted_erm(dataset, w1, kind, ratio * lambda_max(dataset, w1, kind))
+        fitted.append(model)
         yield model.support
         box = WeightBox(dataset.n, delta_from_v(0.1, dataset.n))
         yield screen(dataset, build_reference(dataset, model, box), box).removed
@@ -209,18 +223,18 @@ def main() -> None:
         for part in parts:
             digest.update(np.asarray(part, dtype=float).tobytes())
         print("bounds", v, digest.hexdigest()[:16])
-    large = hashlib.sha256()
-    for part in large_outcomes():
-        large.update(np.asarray(part, dtype=np.int64).tobytes())
-    print("large", large.hexdigest())
-    batch = hashlib.sha256()
-    for part in batch_outcomes():
-        batch.update(np.asarray(part, dtype=np.int64).tobytes())
-    print("batch", batch.hexdigest())
-    wide = hashlib.sha256()
-    for part in wide_outcomes():
-        wide.update(np.asarray(part, dtype=np.int64).tobytes())
-    print("wide", wide.hexdigest())
+    fitted = []
+    for name, outcomes in (("large", large_outcomes), ("batch", batch_outcomes),
+                           ("wide", wide_outcomes)):
+        digest = hashlib.sha256()
+        for part in outcomes(fitted):
+            digest.update(np.asarray(part, dtype=np.int64).tobytes())
+        print(name, digest.hexdigest())
+    path = hashlib.sha256()
+    for model in fitted:
+        for part in (model.b, [model.b0], [model.iterations]):
+            path.update(np.asarray(part, dtype=float).tobytes())
+    print("path", path.hexdigest())
 
 
 if __name__ == "__main__":
