@@ -98,8 +98,9 @@ def build_parser() -> _Parser:
     _add_fit_flags(p)
     p.add_argument("--V", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None,
-                   help="sampling seed (falls back to env DRFS_SEED, then 0)")
+    p.add_argument("--seed", default=None,
+                   help="sampling seed, a non-negative integer (falls back to env "
+                        "DRFS_SEED, then 0)")
     p.add_argument("--self-test", action="store_true",
                    help="plant a false removal and require the verifier to catch it")
     return parser
@@ -277,9 +278,24 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verify_seed(args: argparse.Namespace) -> int:
+    """The sampling seed from --seed, else DRFS_SEED, else 0; ValueError
+    naming its source unless it is a non-negative integer."""
+    source, text = ("--seed", args.seed) if args.seed is not None else (
+        "DRFS_SEED", os.environ.get("DRFS_SEED", "0"))
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    seed = _verify_seed(args)
     dataset, kind, model, report = _screen_once(args)
     if args.self_test:
         if model.support.size == 0:
@@ -288,7 +304,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         flipped = report.removed.copy()
         flipped[planted] = True
         report = dataclasses.replace(report, removed=flipped)
-    seed = args.seed if args.seed is not None else int(os.environ.get("DRFS_SEED", "0"))
     outcome = verify_no_false_elimination(
         dataset, kind, model.lam, report.box, report, args.trials, seed, reference_model=model,
     )

@@ -79,7 +79,13 @@ def verify_no_false_elimination(
     """Re-solve at many admissible weights and flag removed-but-active features.
 
     Every re-solve is warm-started from reference_model, the w = 1 fit the
-    report was screened from.  A trial whose solve does not converge is
+    report was screened from, and so starts at the optimum on its support
+    at the draw's weights (the fit's support polish, its iteration 1); a
+    draw that keeps that support and its signs certifies at its first gap
+    check.  The polish only moves the start: a trial passes only on a
+    certified full-matrix gap at RESOLVE_GAP_SCALE, so a removed feature
+    that activates at some draw still shows as nonzero.  A trial whose
+    solve does not converge is
     counted as inconclusive, never as a pass.  Corners come first: the
     bounds are maximized there, so they are the likeliest falsifiers.  The
     draws are solved together, in batches of T draws whose (n, T) and (d, T)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import drfs
-from drfs import Dataset, Task, oracle, solver, synth
+from drfs import Dataset, Task, cli, oracle, solver, synth
 from drfs.cli import build_parser, main
 from drfs.data import serialize_libsvm
 
@@ -408,7 +409,16 @@ class TestVerify:
         assert json.loads(captured.out)["violations"]
 
     def test_inconclusive_exit_2(self, reg_file, capsys, monkeypatch):
-        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 2)
+        """Re-solves warm-started from the zero model, with a budget of one
+        iteration (the support polish and one gap check), cannot certify."""
+        verify = cli.verify_no_false_elimination
+
+        def from_zero(*args, reference_model):
+            zero = dataclasses.replace(reference_model, b=np.zeros_like(reference_model.b))
+            return verify(*args, reference_model=zero)
+
+        monkeypatch.setattr(cli, "verify_no_false_elimination", from_zero)
+        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 1)
         code = main(["verify", reg_file, "--lambda-ratio", "0.3", "--V", "0.1",
                      "--trials", "4", "--seed", "5"])
         assert code == 2
@@ -418,6 +428,25 @@ class TestVerify:
 
     def test_zero_trials_exit_3(self, reg_file):
         assert main(["verify", reg_file, "--lambda-ratio", "0.3", "--trials", "0"]) == 3
+
+    @pytest.mark.parametrize("value", ["-1", "abc", "1.5"])
+    @pytest.mark.parametrize("source", ["--seed", "DRFS_SEED"])
+    def test_bad_seed_exit_3(self, reg_file, capsys, monkeypatch, source, value):
+        """A seed that is not a non-negative integer exits 3 before any fit,
+        with a message naming where it came from."""
+        fit = []
+        monkeypatch.setattr(cli, "fit_weighted_erm", lambda *args: fit.append(args))
+        argv = ["verify", reg_file, "--lambda-ratio", "0.3", "--trials", "4"]
+        if source == "--seed":
+            monkeypatch.setenv("DRFS_SEED", "7")  # the flag wins over the environment
+            argv += ["--seed", value]
+        else:
+            monkeypatch.setenv("DRFS_SEED", value)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not fit
+        assert captured.err == (f"error: {source} must be a non-negative integer, "
+                                f"got {value!r}\n")
 
     def test_seed_env_fallback(self, reg_file, capsys, monkeypatch):
         monkeypatch.setenv("DRFS_SEED", "7")

@@ -14,7 +14,7 @@ from drfs import (
     v_from_delta,
     verify_no_false_elimination,
 )
-from drfs import oracle
+from drfs import oracle, solver
 from drfs.data import Task, standardize, synth
 from drfs.solver import fit_weighted_erm
 from conftest import screen_setup
@@ -115,17 +115,42 @@ class TestVerify:
         assert outcome.max_coefficient_on_removed > 1e-7
 
     def test_non_convergence_is_inconclusive(self, reg40, monkeypatch):
+        """Re-solves warm-started from the zero model, which is not optimal at
+        0.3 lambda_max, with a budget of one iteration: the support polish
+        leaves b at zero, so the one gap check cannot certify."""
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)
-        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 2)
+        assert model.support.size > 0
+        zero = dataclasses.replace(model, b=np.zeros_like(model.b))
+        monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 1)
         # the 5 draws in one batch, then in batches of 2, 2 and 1
         for block in (oracle.COLUMN_BLOCK_BYTES, 2 * 8 * reg40.n):
             monkeypatch.setattr(oracle, "COLUMN_BLOCK_BYTES", block)
             outcome = verify_no_false_elimination(
-                reg40, SQ, lam, box, report, trials=5, seed=2, reference_model=model,
+                reg40, SQ, lam, box, report, trials=5, seed=2, reference_model=zero,
             )
             assert outcome.inconclusive == outcome.trials == 5
             assert not outcome.ok
             assert not outcome.violations
+
+    @pytest.mark.parametrize("ratio,v", [(0.1, 3.0), (0.1, 10.0), (0.3, 3.0), (0.3, 10.0)])
+    def test_polish_hides_no_false_removal_off_the_support(self, clf40, monkeypatch, ratio, v):
+        """Every feature outside the reference's support planted as removed, at
+        shifts large enough that some of them activate: the re-solves start at
+        the optimum on that support, where every planted feature is zero, and
+        must still find each violation the unpolished re-solves find."""
+        lam, model, box, _, report = screen_setup(clf40, LOG, ratio, v)
+        report = dataclasses.replace(report, removed=model.b == 0.0)
+
+        def violations():
+            outcome = verify_no_false_elimination(clf40, LOG, lam, box, report, trials=200,
+                                                  seed=5, reference_model=model)
+            assert outcome.inconclusive == 0
+            return sorted({j for _, j, _ in outcome.violations}), len(outcome.violations)
+
+        polished = violations()
+        monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
+        assert polished[1] > 0
+        assert polished == violations()
 
     @pytest.mark.parametrize("kind,fixture,plant", [
         (SQ, "reg40", False), (LOG, "clf40", False), (SQ, "reg40", True),

@@ -775,7 +775,10 @@ class TestFitColumns:
             # a budget that only the fastest columns meet: exactly the others
             # come back inconclusive, each carrying a full-matrix certificate
             iterations = [model.iterations for model in results]
-            cap = max(min(iterations), solver._CHECK_EVERY)  # a gap-check iteration
+            # a warm-started fit checks at 1, 1 + _CHECK_EVERY, ..., and every
+            # column certified at one of them, so its count is a check iteration
+            cap = min(iterations)
+            assert all((it - 1) % solver._CHECK_EVERY == 0 for it in iterations)
             if cap < max(iterations):
                 budget = FitConfig(gap_tolerance=config.gap_tolerance, max_iterations=cap)
                 short = solver._fit_columns(ds, weights, kind, lam, budget, warm)
@@ -925,3 +928,96 @@ def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam)
     assert calls[1:] == [(other.n, 1), (other.n, 2)]
     assert "_x_sq_sums" not in vars(other)
+
+
+def _polish_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:
+    """_random_problem for any d >= 1: the labels read the first min(3, d)
+    features."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    signal = x[:, :3] @ np.array([2.0, -1.5, 1.0])[:min(3, d)]
+    if kind is SQ:
+        return make(x, signal + 0.3 * rng.standard_normal(n))
+    y = np.where(signal + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    return make(x, y, Task.BINARY)
+
+
+def _without_polish(kind, x, y, w, lam, b, b0):
+    """_support_polish patched out: the fit starts at the warm start itself."""
+    return b, b0
+
+
+class TestSupportPolish:
+    """A warm-started fit starts at the optimum on its warm start's support,
+    and ends where the same fit without the polish ends."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([SQ, LOG]),
+        n=st.integers(4, 40),
+        d=st.integers(1, 30),
+        batch=st.integers(1, 7),
+        ratio=st.floats(0.05, 0.9),
+        delta=st.floats(0.0, 0.9),
+        far_start=st.booleans(),
+    )
+    def test_polished_fit_ends_where_the_unpolished_one_does(self, seed, kind, n, d, batch,
+                                                             ratio, delta, far_start):
+        """From the w = 1 fit, or from a far-off start with every feature
+        active (|S| + 1 > n whenever d >= n).  The tolerance is 1e-13 of the
+        scale: at the verifier's 1e-11 a certified 4x1 logistic fit may sit
+        1.4e-6 from the optimum.  A squared fit with d >= n may stall short
+        of it with or without the polish (ROADMAP item 5: at 500 examples,
+        a 20x20 draw stalled on both paths from the same far-off start);
+        wherever the unpolished fit certifies, the polished one must too."""
+        ds = _polish_problem(seed, n, d, kind)
+        rng = np.random.default_rng(seed + 1)
+        weights = rng.uniform(1.0 - delta, 1.0 + delta, size=(n, batch))
+        ones = np.ones(n)
+        lam = ratio * lambda_max(ds, ones, kind)
+        if far_start:
+            warm = (3.0 * rng.standard_normal(d), 1.0)
+        else:
+            try:
+                start = fit_weighted_erm(ds, ones, kind, lam, FitConfig(max_iterations=20_000))
+            except ConvergenceError as exc:  # the d > n squared stall: a start all the same
+                start = exc.model
+            warm = (start.b, start.b0)
+        config = FitConfig(gap_tolerance=1e-13 * objective_scale(ds, ones, kind),
+                           max_iterations=20_000)
+        starts = []
+
+        def recording(*args):
+            out = polish(*args)
+            starts.append((args[-2], args[-1]) + out)
+            return out
+
+        polish = solver._support_polish
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_support_polish", recording)
+            polished = solver._fit_columns(ds, weights, kind, lam, config, warm)
+            mp.setattr(solver, "_support_polish", _without_polish)
+            raw = solver._fit_columns(ds, weights, kind, lam, config, warm)
+        ((b, b0, b_polished, b0_polished),) = starts
+        # a column of a wider batch sums in another order than duality_gap
+        rounding = 1e-13 * objective_scale(ds, ones, kind)
+        for k in range(batch):
+            before = primal_objective(ds, weights[:, k], kind, lam, b[:, k], b0[k])
+            after = primal_objective(ds, weights[:, k], kind, lam, b_polished[:, k],
+                                     b0_polished[k])
+            # the polish compares the objectives it computes from x[:, S]
+            assert after <= before + 1e-14 * abs(before)
+            if isinstance(raw[k], ConvergenceError):
+                # the squared stall at d >= n, which the polish may leave behind
+                assert kind is SQ and d >= n
+                continue
+            for model in (polished[k], raw[k]):
+                assert isinstance(model, solver.FittedModel)
+                _assert_certified_on_full_matrix(ds, weights[:, k], kind, lam, model,
+                                                 config.gap_tolerance, rounding)
+            np.testing.assert_array_equal(polished[k].support, raw[k].support)
+            # relative too: a nearly separable 4-row logistic fit has b near 13
+            # and so little curvature that certified fits differ by 4e-6
+            np.testing.assert_allclose(polished[k].b, raw[k].b, rtol=1e-6, atol=1e-6)
