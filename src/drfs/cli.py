@@ -284,7 +284,7 @@ def _verify_seed(args: argparse.Namespace) -> int:
     source, text = ("--seed", args.seed) if args.seed is not None else (
         "DRFS_SEED", os.environ.get("DRFS_SEED", "0"))
     try:
-        seed = int(text)
+        seed = int(text)  # int's syntax: blanks around it, a sign and 1_000 pass
     except ValueError:
         seed = -1
     if seed < 0:

@@ -969,9 +969,10 @@ class TestSupportPolish:
         active (|S| + 1 > n whenever d >= n).  The tolerance is 1e-13 of the
         scale: at the verifier's 1e-11 a certified 4x1 logistic fit may sit
         1.4e-6 from the optimum.  A squared fit with d >= n may stall short
-        of it with or without the polish (ROADMAP item 5: at 500 examples,
-        a 20x20 draw stalled on both paths from the same far-off start);
-        wherever the unpolished fit certifies, the polished one must too."""
+        of it with or without the polish, in the step search's known stall
+        near the optimum (at 500 examples a 20x20 draw stalled on both
+        paths from the same far-off start); wherever the unpolished fit
+        certifies, the polished one must too."""
         ds = _polish_problem(seed, n, d, kind)
         rng = np.random.default_rng(seed + 1)
         weights = rng.uniform(1.0 - delta, 1.0 + delta, size=(n, batch))
