@@ -989,13 +989,13 @@ class TestSupportPolish:
         config = FitConfig(gap_tolerance=1e-13 * objective_scale(ds, ones, kind),
                            max_iterations=20_000)
         starts = []
+        polish = solver._support_polish
 
         def recording(*args):
             out = polish(*args)
             starts.append((args[-2], args[-1]) + out)
             return out
 
-        polish = solver._support_polish
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_support_polish", recording)
             polished = solver._fit_columns(ds, weights, kind, lam, config, warm)
