@@ -80,9 +80,9 @@ def verify_no_false_elimination(
 
     Every re-solve is warm-started from reference_model, the w = 1 fit the
     report was screened from, and so starts at the optimum on its support
-    at the draw's weights (the fit's support polish, its iteration 1); a
-    draw that keeps that support and its signs certifies at its first gap
-    check.  The polish only moves the start: a trial passes only on a
+    and signs at the draw's weights, or on a pattern corrected where the
+    draw moves it (the fit's support polish, its iteration 1); a draw whose
+    optimum's pattern the polish finds certifies at its first gap check.  The polish only moves the start: a trial passes only on a
     certified full-matrix gap at RESOLVE_GAP_SCALE, so a removed feature
     that activates at some draw still shows as nonzero.  A trial whose
     solve does not converge is

@@ -424,6 +424,43 @@ _PLATEAU_DOUBLINGS = 64
 # further: 4-5 steps reached the resolution.
 _POLISH_RESOLUTION = 64 * np.finfo(float).eps
 _POLISH_NEWTON_STEPS = 8
+# Sign patterns the polish tries per column: the warm start's, then up to
+# _POLISH_ROUNDS - 1 corrected ones.  On the gate's logistic problem at 0.3
+# lambda_max and V = 1, a corner draw lets one feature enter; its second
+# pattern was the optimum's, where the first had left 25-40 iterations.
+_POLISH_ROUNDS = 4
+
+
+def _pattern_newton(
+    kind: LossKind, a: np.ndarray, y: np.ndarray, w: np.ndarray, penalty: np.ndarray,
+    theta: np.ndarray,
+) -> np.ndarray:
+    """The minimizer over theta (k, T) of sum_i w_i loss(y_i, a_i . theta) +
+    penalty . theta, by Newton steps from theta; NaN where a Hessian is
+    singular.  y and w are (n, T); every column shares a = [x_S, 1]."""
+    theta = theta.copy()
+    live = np.arange(theta.shape[1])
+    for _ in range(1 if kind is LossKind.SQUARED else _POLISH_NEWTON_STEPS):
+        y_l, w_l = y[:, live], w[:, live]
+        margins = a @ theta[:, live]
+        if kind is LossKind.SQUARED:
+            slope, curvature = _derivative(kind, y_l, margins), 2.0 * w_l
+        else:
+            sig = _sigmoid_neg(y_l * margins)
+            slope, curvature = _derivative(kind, y_l, margins, sig), w_l * sig * (1.0 - sig)
+        grad = a.T @ (w_l * slope) + penalty
+        hess = (a.T * curvature.T[:, None, :]) @ a
+        try:
+            step = np.linalg.solve(hess, grad.T[..., None])[..., 0].T
+        except np.linalg.LinAlgError:  # singular: every live column keeps its start
+            theta[:, live] = np.nan
+            break
+        theta[:, live] -= step
+        resolution = _POLISH_RESOLUTION * np.maximum(1.0, np.abs(theta[:, live]))
+        live = live[np.any(np.abs(step) > resolution, axis=0)]
+        if not live.size:
+            break
+    return theta
 
 
 def _support_polish(
@@ -433,65 +470,90 @@ def _support_polish(
     """The start of a warm-started fit: b (d, T), whose columns all hold the
     warm start, and its intercepts b0, with each column moved to the
     minimizer over (b_S, b0) of sum_i w_i loss(y_i, x_iS . b_S + b0) +
-    lam s . b_S, S being the warm start's support and s its signs.
+    lam s . b_S, S being the support of a sign pattern s: first the warm
+    start's support and signs, then, while that minimizer breaks the L1
+    optimality conditions at w, a corrected pattern, for at most
+    _POLISH_ROUNDS patterns.
 
     On a fixed support and sign pattern the L1 optimum moves smoothly with
     the weights (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000), so
     from the optimum at other weights this lands on or next to the optimum
-    at w.  The squared loss takes one Newton step, which is exact; the
-    logistic loss steps until its step is below _POLISH_RESOLUTION, the
-    resolution of (b_S, b0), or for _POLISH_NEWTON_STEPS steps.  y and w
-    are (n, T).  Every column shares A = [x_S, 1], so each step solves
-    the (T, k, k) Hessians A.T diag(w loss'') A in one call, over the
-    columns still moving.  A column keeps its polished point only where it
-    is finite and its objective at w, with lam ||b||_1, is no higher than
-    the start's; otherwise, as when |S| + 1 > n or a Hessian is singular,
-    it keeps the start.
+    at w.  Where the weights move the pattern, the minimizer shows it: a
+    feature off S with |x_j . (w loss')| > lam enters with the sign that
+    lowers the objective, and a feature whose coefficient crossed zero
+    leaves, as in the active-set steps of the same paper.  The squared loss
+    takes one Newton step per pattern, which is exact; the logistic loss
+    steps until its step is below _POLISH_RESOLUTION, the resolution of
+    (b_S, b0), or for _POLISH_NEWTON_STEPS steps.  y and w are (n, T).  The
+    columns of one pattern share A = [x_S, 1], so each step solves their
+    (T, k, k) Hessians A.T diag(w loss'') A in one call, over the columns
+    still moving.  A column ends at the pattern minimizer with the lowest
+    objective at w, with lam ||b||_1, among those that are finite and no
+    higher than the start's; where none is, as when |S| + 1 > n or a
+    Hessian is singular, it keeps the start.
     """
     n, batch = w.shape
-    support = np.flatnonzero(b[:, 0])
-    k = support.size + 1
-    if k > n:
-        return b, b0
-    a = np.empty((n, k))
-    a[:, :-1] = x[:, support]
-    a[:, -1] = 1.0
-    start = np.vstack([b[support], b0])
-    penalty = lam * np.append(np.sign(b[support, 0]), 0.0)[:, None]
-    theta = start.copy()
+
+    def objective(bb: np.ndarray, margins: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return (np.vecdot(w[:, cols], _loss(kind, y[:, cols], margins), axis=0)
+                + lam * np.abs(bb).sum(axis=0))
+
+    signs = np.sign(b)
+    b_try, b0_try = b.copy(), np.array(b0)
+    best_b, best_b0 = b.copy(), b0_try.copy()
+    improved = np.zeros(batch, dtype=bool)
     live = np.arange(batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1 if kind is LossKind.SQUARED else _POLISH_NEWTON_STEPS):
-            y_l, w_l = y[:, live], w[:, live]
-            margins = a @ theta[:, live]
-            if kind is LossKind.SQUARED:
-                slope, curvature = _derivative(kind, y_l, margins), 2.0 * w_l
-            else:
-                sig = _sigmoid_neg(y_l * margins)
-                slope, curvature = _derivative(kind, y_l, margins, sig), w_l * sig * (1.0 - sig)
-            grad = a.T @ (w_l * slope) + penalty
-            hess = (a.T * curvature.T[:, None, :]) @ a
-            try:
-                step = np.linalg.solve(hess, grad.T[..., None])[..., 0].T
-            except np.linalg.LinAlgError:  # singular: every live column keeps its start
-                theta[:, live] = np.nan
-                break
-            theta[:, live] -= step
-            resolution = _POLISH_RESOLUTION * np.maximum(1.0, np.abs(theta[:, live]))
-            live = live[np.any(np.abs(step) > resolution, axis=0)]
+        best_obj = objective(b, _times_support(x, b) + b0_try, live)
+        for _ in range(_POLISH_ROUNDS):
+            groups: dict[bytes, list[int]] = {}
+            for j in live.tolist():
+                groups.setdefault(signs[:, j].tobytes(), []).append(j)
+            solved = []
+            for members in groups.values():
+                cols = np.array(members)
+                support = np.flatnonzero(signs[:, cols[0]])
+                if support.size + 1 > n:
+                    continue
+                a = np.empty((n, support.size + 1))
+                a[:, :-1] = x[:, support]
+                a[:, -1] = 1.0
+                penalty = lam * np.append(signs[support, cols[0]], 0.0)[:, None]
+                theta = _pattern_newton(kind, a, y[:, cols], w[:, cols], penalty,
+                                        np.vstack([b_try[np.ix_(support, cols)], b0_try[cols]]))
+                finite = np.isfinite(theta).all(axis=0)
+                cols, theta = cols[finite], theta[:, finite]
+                b_try[:, cols] = 0.0
+                b_try[np.ix_(support, cols)] = theta[:-1]
+                b0_try[cols] = theta[-1]
+                solved.append(cols)
+            live = np.sort(np.concatenate(solved)) if solved else live[:0]
             if not live.size:
                 break
-
-        def objective(t: np.ndarray) -> np.ndarray:
-            return np.vecdot(w, _loss(kind, y, a @ t), axis=0) + lam * np.abs(t[:-1]).sum(axis=0)
-
-        polished = np.flatnonzero(np.isfinite(theta).all(axis=0)
-                                  & (objective(theta) <= objective(start)))
+            b_live = b_try[:, live]
+            margins = _times_support(x, b_live) + b0_try[live]
+            obj = objective(b_live, margins, live)
+            better = obj <= best_obj[live]
+            kept = live[better]
+            best_b[:, kept], best_b0[kept] = b_live[:, better], b0_try[kept]
+            best_obj[kept] = obj[better]
+            improved[kept] = True
+            # the optimality conditions at each pattern minimizer: a feature off
+            # the support whose gradient exceeds lam enters against its
+            # gradient's sign, and one whose coefficient crossed zero leaves
+            grad = x.T @ (w[:, live] * _derivative(kind, y[:, live], margins))
+            pattern = signs[:, live]
+            corrected = np.where((b_live == 0.0) & (np.abs(grad) > lam), -np.sign(grad),
+                                 np.where(np.sign(b_live) == -pattern, 0.0, pattern))
+            signs[:, live] = corrected
+            live = live[np.any(corrected != pattern, axis=0)]
+            if not live.size:
+                break
     b = b.copy()
-    b[np.ix_(support, polished)] = theta[:-1, polished]
+    b[:, improved] = best_b[:, improved]
     b0 = list(b0)
-    for j in polished.tolist():
-        b0[j] = float(theta[-1, j])
+    for j in np.flatnonzero(improved).tolist():
+        b0[j] = float(best_b0[j])
     return b, b0
 
 
@@ -580,8 +642,8 @@ def fit_weighted_erm(
     verifier's batched form: the T columns are solved together in one loop
     and give a ColumnFits, which holds rather than raises a column's
     ConvergenceError.  A warm_start (b, b0) is first polished to the
-    optimum on its support at the given weights, which counts as iteration
-    1.  _fit_columns documents the algorithm; a vector is its one-column
+    optimum on its sign pattern at the given weights, or on a pattern
+    corrected where the weights move it, which counts as iteration 1.  _fit_columns documents the algorithm; a vector is its one-column
     case.
     """
     # an (n, T) matrix keeps its T; any other shape but (n,) is refused
@@ -614,10 +676,11 @@ def _fit_columns(
     from a cold start, and at 1, 1 + _CHECK_EVERY, ... from a warm start,
     whose iteration 1 is the support polish (_support_polish).  It starts
     each column at the minimizer of its weighted loss plus lam s . b_S over
-    the warm start's support S and signs s, or at the warm start itself
-    where that point is not finite or not better, so a re-solve whose
-    weights leave the support and signs as they are certifies at its first
-    check; with max_iterations = 1 the fit polishes and checks once.  The
+    the support S of a sign pattern s, the warm start's or one corrected
+    where the weights move it, or at the warm start itself where no such
+    point is finite and better, so a re-solve whose optimum's pattern the
+    polish finds certifies at its first check; with max_iterations = 1 the
+    fit polishes and checks once.  The
     polish moves only the start: a fit still returns only from a gap check
     on the full matrix.  A column leaves the batch when it
     certifies at a check, or with a ConvergenceError when the iterations run

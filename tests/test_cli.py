@@ -409,8 +409,9 @@ class TestVerify:
         assert json.loads(captured.out)["violations"]
 
     def test_inconclusive_exit_2(self, reg_file, capsys, monkeypatch):
-        """Re-solves warm-started from the zero model, with a budget of one
-        iteration (the support polish and one gap check), cannot certify."""
+        """Re-solves warm-started from the zero model, with the support polish
+        patched out and a budget of one iteration (one gap check), cannot
+        certify."""
         verify = cli.verify_no_false_elimination
 
         def from_zero(*args, reference_model):
@@ -418,6 +419,7 @@ class TestVerify:
             return verify(*args, reference_model=zero)
 
         monkeypatch.setattr(cli, "verify_no_false_elimination", from_zero)
+        monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
         monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 1)
         code = main(["verify", reg_file, "--lambda-ratio", "0.3", "--V", "0.1",
                      "--trials", "4", "--seed", "5"])

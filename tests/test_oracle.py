@@ -116,11 +116,13 @@ class TestVerify:
 
     def test_non_convergence_is_inconclusive(self, reg40, monkeypatch):
         """Re-solves warm-started from the zero model, which is not optimal at
-        0.3 lambda_max, with a budget of one iteration: the support polish
-        leaves b at zero, so the one gap check cannot certify."""
+        0.3 lambda_max, with the support polish patched out (from zero it
+        finds the optimum's pattern) and a budget of one iteration: b stays
+        at zero, so the one gap check cannot certify."""
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)
         assert model.support.size > 0
         zero = dataclasses.replace(model, b=np.zeros_like(model.b))
+        monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
         monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 1)
         # the 5 draws in one batch, then in batches of 2, 2 and 1
         for block in (oracle.COLUMN_BLOCK_BYTES, 2 * 8 * reg40.n):
@@ -151,6 +153,27 @@ class TestVerify:
         monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
         assert polished[1] > 0
         assert polished == violations()
+
+    def test_draws_that_move_the_support_certify_at_the_first_check(self, clf40,
+                                                                    monkeypatch):
+        """The acceptance gate's logistic configuration at 0.3 lambda_max and
+        V = 1: a draw lets a feature enter, the polish corrects the warm
+        start's sign pattern, and every re-solve certifies at iteration 1."""
+        lam, model, box, _, report = screen_setup(clf40, LOG, 0.3, 1.0)
+        fits = []
+
+        def recording(*args):
+            out = fit_weighted_erm(*args)
+            fits.extend(out)
+            return out
+
+        monkeypatch.setattr(oracle, "fit_weighted_erm", recording)
+        outcome = verify_no_false_elimination(clf40, LOG, lam, box, report, trials=4, seed=99,
+                                              reference_model=model)
+        assert outcome.ok and outcome.inconclusive == 0
+        assert len(fits) == 4
+        assert [f.iterations for f in fits] == [1, 1, 1, 1]
+        assert any(not np.array_equal(f.support, model.support) for f in fits)
 
     @pytest.mark.parametrize("kind,fixture,plant", [
         (SQ, "reg40", False), (LOG, "clf40", False), (SQ, "reg40", True),

@@ -949,8 +949,9 @@ def _without_polish(kind, x, y, w, lam, b, b0):
 
 
 class TestSupportPolish:
-    """A warm-started fit starts at the optimum on its warm start's support,
-    and ends where the same fit without the polish ends."""
+    """A warm-started fit starts at the optimum on its warm start's sign
+    pattern, or on a corrected one, and ends where the same fit without the
+    polish ends."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1008,7 +1009,7 @@ class TestSupportPolish:
             before = primal_objective(ds, weights[:, k], kind, lam, b[:, k], b0[k])
             after = primal_objective(ds, weights[:, k], kind, lam, b_polished[:, k],
                                      b0_polished[k])
-            # the polish compares the objectives it computes from x[:, S]
+            # the polish compares objectives it sums in its own order
             assert after <= before + 1e-14 * abs(before)
             if isinstance(raw[k], ConvergenceError):
                 # the squared stall at d >= n, which the polish may leave behind
