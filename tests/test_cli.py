@@ -169,6 +169,23 @@ def test_malformed_csv_line_exit_1(line, message, tmp_path, capsys):
     assert captured.err == f"error: line 2: {message}\n"
 
 
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("plain.csv", "1,2\n3,4\n", ["--label-column", "y"],
+     "label column 'y' named but file has no header"),
+    ("named.csv", "a,b\n1,2\n3,4\n", ["--label-column", "y"], "label column 'y' not in header"),
+    ("three.csv", "0,1\n1,2\n2,3\n", ["--loss", "logistic"],
+     "binary task needs exactly two distinct labels, got 3"),
+    ("labels.libsvm", "1\n-1\n", [], "no feature entries found"),
+], ids=["no header", "not in header", "three labels", "no features"])
+def test_unusable_file_exit_1(name, text, argv, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    assert main(["lambda-max", str(path), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestLambdaMax:
     def test_toy_value(self, toy_file, capsys):
         code = main(["lambda-max", toy_file, "--no-standardize"])

@@ -30,6 +30,15 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(x=np.array([[1.0]]), y=np.array([1.0]), task=Task.REGRESSION)
 
+    @pytest.mark.parametrize("x, y, names, message", [
+        (np.ones(3), np.zeros(3), None, "x must be a 2-d matrix"),
+        (np.ones((3, 2)), np.zeros(2), None, r"y must have length 3, got shape \(2,\)"),
+        (np.ones((3, 2)), np.zeros(3), ["a"], "feature_names length must match feature count"),
+    ], ids=["1-d x", "short y", "short names"])
+    def test_rejects_mismatched_shapes(self, x, y, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(x=x, y=y, task=Task.REGRESSION, feature_names=names)
+
     def test_column_major_storage(self):
         ds = Dataset(x=np.ones((3, 2)), y=np.zeros(3), task=Task.REGRESSION)
         assert ds.x.flags["F_CONTIGUOUS"]
@@ -56,6 +65,10 @@ class TestParseLibsvm:
     def test_single_class_binary_is_error(self):
         with pytest.raises(ParseError, match="single class"):
             parse_libsvm("+1 1:1\n+1 2:1", task=Task.BINARY)
+
+    def test_labels_without_features_is_error(self):
+        with pytest.raises(ParseError, match="^no feature entries found$"):
+            parse_libsvm("1\n-1\n")
 
     def test_label_mapping(self):
         ds = parse_libsvm("0 1:1\n2 1:2\n0 2:1", task=Task.BINARY)
@@ -115,6 +128,19 @@ class TestParseCsv:
     def test_missing_label_column(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_csv("1,2\n3,4\n", label_column=5)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3,4\n", "label column 'y' named but file has no header"),
+        ("a,b\n1,2\n3,4\n", "label column 'y' not in header"),
+    ])
+    def test_unknown_label_name(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_csv(text, label_column="y")
+
+    def test_three_binary_labels_is_error(self):
+        message = "^binary task needs exactly two distinct labels, got 3$"
+        with pytest.raises(ParseError, match=message):
+            parse_csv("0,1\n1,2\n2,3\n", task=Task.BINARY)
 
     def test_blank_lines_skipped(self):
         ds = parse_csv("\na,b\n\n1,2\n  \t\n3,4\n\n", label_column="a")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,15 @@ class TestVerify:
             )
         with pytest.raises(ValueError, match="trials"):
             verify_no_false_elimination(reg40, SQ, lam, box, report, trials=0, seed=0,
+                                        reference_model=model)
+        narrow = dataclasses.replace(report, removed=report.removed[:-1])
+        message = "^report does not match the dataset's feature count$"
+        with pytest.raises(ValueError, match=message):
+            verify_no_false_elimination(reg40, SQ, lam, box, narrow, trials=5, seed=0,
+                                        reference_model=model)
+        with pytest.raises(ValueError, match=re.escape(
+                f"report was produced at lambda={lam}, not {2 * lam}")):
+            verify_no_false_elimination(reg40, SQ, 2 * lam, box, report, trials=5, seed=0,
                                         reference_model=model)
 
     def test_outcome_json(self, reg40):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -228,6 +229,33 @@ class TestUbForWeight:
         _, _, box, ref, _ = screen_setup(reg40, SQ, 0.2, 0.1)
         with pytest.raises(ValueError, match="not in the box"):
             ub_for_weight(0, np.full(reg40.n, 1.5), ref, reg40, box)
+
+    def test_rejects_bad_index_and_box(self, reg40):
+        _, _, box, ref, _ = screen_setup(reg40, SQ, 0.2, 0.1)
+        w = np.ones(reg40.n)
+        for j in (-1, reg40.d):
+            with pytest.raises(IndexError, match=f"^feature index {j} out of range for d=15$"):
+                ub_for_weight(j, w, ref, reg40, box)
+        wider = WeightBox(reg40.n + 1, box.delta)
+        message = "^box is over 41 instances, dataset has 40$"
+        with pytest.raises(ValueError, match=message):
+            ub_for_weight(0, np.ones(reg40.n + 1), ref, reg40, wider)
+        with pytest.raises(ValueError, match=message):
+            screen(reg40, ref, wider)
+
+    def test_rejects_logistic_dual_outside_domain(self, clf40):
+        """A dual point with y * alpha past 1 has no conjugate: both bounds
+        name the instance instead of returning a NaN bound."""
+        _, _, box, ref, _ = screen_setup(clf40, LOG, 0.2, 0.1)
+        outside = dataclasses.replace(ref, alpha_star=3.0 * ref.alpha_star)
+        p = clf40.y * outside.q * outside.alpha_star
+        bad = int(np.argmax(np.maximum(p - 1.0, -p)))
+        with pytest.raises(ValueError, match=f"^instance {bad}: rescaled dual point outside "
+                                             r"the logistic conjugate domain \(y\*alpha="):
+            ub_for_weight(0, np.ones(clf40.n), outside, clf40, box)
+        with pytest.raises(ValueError, match=r"^instance \d+: scaled dual point outside "
+                                             r"the logistic conjugate domain \(y\*alpha="):
+            screen(clf40, outside, box)
 
     @pytest.mark.parametrize("fixture,kind", [("reg40", SQ), ("clf40", LOG)])
     def test_sampled_dominance(self, fixture, kind, request):

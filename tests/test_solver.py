@@ -71,6 +71,13 @@ class TestObjectives:
         value = dual_objective(ds, np.ones(2), LOG, np.array([0.5, -0.5]))
         assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
+    def test_rejects_wrong_lengths(self, reg40):
+        w = np.ones(reg40.n)
+        with pytest.raises(ValueError, match=r"^b must have length 15, got shape \(16,\)$"):
+            primal_objective(reg40, w, SQ, 1.0, np.zeros(reg40.d + 1), 0.0)
+        with pytest.raises(ValueError, match=r"^alpha must have length 40, got shape \(39,\)$"):
+            dual_objective(reg40, w, SQ, np.zeros(reg40.n - 1))
+
     def test_gap_rejects_infeasible(self):
         from drfs import DomainError
 
@@ -730,8 +737,8 @@ class TestTimesSupport:
 
 
 class TestFitColumns:
-    """_fit_columns solves T weight vectors in one loop; each column must come
-    out as a fit of its own."""
+    """_fit_columns solves T weight vectors, polished and first checked
+    together; each column must come out as a fit of its own."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -795,7 +802,8 @@ class TestFitColumns:
 
     def test_fit_weighted_erm_takes_weight_columns(self, reg40):
         """Weights (n, T) give _fit_columns' results as a ColumnFits that holds,
-        not raises, a column's ConvergenceError and reports the loop's count."""
+        not raises, a column's ConvergenceError and reports the most
+        iterations any column ran."""
         rng = np.random.default_rng(3)
         weights = rng.uniform(0.5, 1.5, size=(reg40.n, 3))
         lam = 0.2 * lambda_max(reg40, np.ones(reg40.n), SQ)
@@ -824,21 +832,29 @@ class TestFitColumns:
 
 
 class TestStepSearchGiveUp:
-    """A column whose step search fails leaves the batch as a ConvergenceError
+    """A column whose step search fails comes back as a ConvergenceError
     carrying its best iterate; the other columns go on as fits of their own."""
 
     @staticmethod
     def _nan_loss_in_column(monkeypatch, column: int, after: int) -> None:
-        """Make _loss NaN in batch column `column` from call `after` + 1 on."""
-        loss = solver._loss
-        calls = itertools.count(1)
+        """Make _loss NaN in the fit of weight column `column`, which
+        _fit_column runs alone, from that fit's call `after` + 1 on."""
+        loss, fit_column = solver._loss, solver._fit_column
+        fits = itertools.count()
+        calls = None  # counts the _loss calls of the patched column's fit
+
+        def fitting(*args):
+            nonlocal calls
+            calls = itertools.count(1) if next(fits) == column else None
+            return fit_column(*args)
 
         def patched(kind, y, t):
             out = loss(kind, y, t)
-            if next(calls) > after and out.shape[1] > column:
-                out[:, column] = np.nan
+            if calls is not None and next(calls) > after:
+                out[:] = np.nan
             return out
 
+        monkeypatch.setattr(solver, "_fit_column", fitting)
         monkeypatch.setattr(solver, "_loss", patched)
 
     @pytest.mark.parametrize("kind,fixture", [(SQ, "reg40"), (LOG, "clf40")])
@@ -850,24 +866,15 @@ class TestStepSearchGiveUp:
         # the start objective stays finite; the NaN reaches column 1 in the
         # step search of iteration 0
         self._nan_loss_in_column(monkeypatch, 1, 1)
-        checked = []  # the batch width at each gap check
-        repair = solver._repair_from_margins
-
-        def recording(kind, y, x, w, *rest):
-            checked.append(w.shape[1])
-            return repair(kind, y, x, w, *rest)
-
-        monkeypatch.setattr(solver, "_repair_from_margins", recording)
         first, second = solver._fit_columns(ds, weights, kind, lam)
-        # the failed column leaves at the end of its iteration, before the next check
-        assert checked[0] == 2 and set(checked[1:]) == {1}
         assert isinstance(first, solver.FittedModel)
         gap_tol = 1e-9 * objective_scale(ds, weights[:, 0], kind)
-        # a column of a wider batch sums in another order than duality_gap
+        # a strided weights[:, 0] sums in another order than the fit's copy
         _assert_certified_on_full_matrix(ds, weights[:, 0], kind, lam, first, gap_tol,
                                          1e-13 * objective_scale(ds, weights[:, 0], kind))
         np.testing.assert_array_equal(first.support, alone.support)
-        np.testing.assert_allclose(first.b, alone.b, atol=1e-6)
+        # a cold batch fits each column alone, bit for bit
+        np.testing.assert_array_equal(first.b, alone.b)
         assert isinstance(second, ConvergenceError)
         assert str(second) == "backtracking failed to find a valid step"
         # given up in iteration 0, carrying the check of the cold start
@@ -875,7 +882,9 @@ class TestStepSearchGiveUp:
         assert model.iterations == 0
         assert np.all(model.b == 0.0)
         np.testing.assert_array_equal(model.weights, weights[:, 1])
-        _assert_certified_on_full_matrix(ds, weights[:, 1], kind, lam, model, None)
+        # the fit's contiguous copy: a strided weights[:, 1] rounds its dot
+        # products in another order
+        _assert_certified_on_full_matrix(ds, model.weights, kind, lam, model, None)
 
     def test_one_column_fit_raises(self, monkeypatch, reg40):
         lam = 0.3 * lambda_max(reg40, np.ones(reg40.n), SQ)
@@ -904,8 +913,9 @@ def test_column_square_sums(n, d):
 
 def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     """A fit at unit weights takes sum_i x_ij^2 from the dataset, computed
-    once and bit-equal to _column_square_sums; any other fit computes its
-    own sums and leaves the cache alone."""
+    once and bit-equal to _column_square_sums; so does each column of a cold
+    batch of ones, which is fit alone.  Any other fit, and the batched start
+    of a warm one, computes its own sums."""
     calls = []
 
     def counting(x, w):
@@ -925,9 +935,14 @@ def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     np.testing.assert_array_equal(again.b, first.b)
     other = _random_problem(6, 30, 8, SQ)
     fit_weighted_erm(other, np.linspace(0.5, 1.5, other.n), SQ, lam)
-    fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam)
-    assert calls[1:] == [(other.n, 1), (other.n, 2)]
+    assert calls[1:] == [(other.n, 1)]
     assert "_x_sq_sums" not in vars(other)
+    fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam)
+    assert calls[2:] == [(other.n, 1)]  # the cache, once for both columns
+    np.testing.assert_array_equal(other._x_sq_sums,
+                                  _column_square_sums(other.x, np.ones((other.n, 1))))
+    fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam, warm_start=(first.b, first.b0))
+    assert calls[3:] == [(other.n, 2)]
 
 
 def _polish_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:

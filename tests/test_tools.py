@@ -1,5 +1,6 @@
 """The scripts under tools/ import drfs names that no test imports; a rename
-must fail here rather than when someone next compares two source trees."""
+must fail here rather than when someone next compares two source trees.
+fit_hashes.py must also fix the BLAS thread count before numpy loads."""
 
 import ast
 import importlib
@@ -22,3 +23,18 @@ def test_tool_imports_resolve():
     missing = [f"{tool}: from {module} import {name}" for tool, module, name in found
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_fit_hashes_pins_blas_before_numpy():
+    """The thread count moves the last bits of some fits, and BLAS reads it
+    once, when numpy (imported by drfs too) loads."""
+    tree = ast.parse((TOOLS / "fit_hashes.py").read_text(encoding="utf-8"))
+    numpy_at = min(node.lineno for node in tree.body
+                   if isinstance(node, ast.Import) and any(a.name == "numpy" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "drfs")
+    before = tree.body[:next(i for i, node in enumerate(tree.body) if node.lineno == numpy_at)]
+    pins = [node for node in before if isinstance(node, ast.For)
+            and ast.unparse(node.body[0]) == "os.environ[_var] = '1'"]
+    assert len(pins) == 1
+    assert ast.literal_eval(pins[0].iter) == (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

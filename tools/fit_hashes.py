@@ -47,11 +47,20 @@ column counts with its best iterate), but not their alpha or gap.  A
 change to how the fit checks its gap then shows there whenever a decision
 moved (a stopping test, a working set, an iterate), while the last bits of
 a gap that no decision read do not move it.
+
+BLAS runs on one thread: the script sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, as the
+benchmark does.  At OpenBLAS's default thread count the same tree printed
+another `path` line on a 2-CPU machine (a2e49153...b307 against
+7226e4c1...cd24 at one thread), so two trees compare only at a fixed count.
 """
 
 import hashlib
+import os
 import sys
 
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 sys.path.insert(0, sys.argv[1])
 
 import numpy as np  # noqa: E402
