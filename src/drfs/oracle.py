@@ -82,11 +82,12 @@ def verify_no_false_elimination(
     report was screened from, and so starts at the optimum on its support
     and signs at the draw's weights, or on a pattern corrected where the
     draw moves it (the fit's support polish, its iteration 1).  The draws
-    are polished and gap-checked together, in batches of T draws whose
-    (n, T) and (d, T) work arrays each hold at most COLUMN_BLOCK_BYTES
-    (T = 1 when one draw's arrays alone are larger); a draw whose optimum's
-    pattern the polish finds certifies at that first check, and a draw it
-    does not certify is solved alone from its polished point.  The polish
+    are polished together, in batches of T draws whose (n, T) and (d, T)
+    work arrays each hold at most COLUMN_BLOCK_BYTES (T = 1 when one draw's
+    arrays alone are larger), and the draws of one sign pattern take each
+    gap check of the polish together; a draw whose optimum's pattern the
+    polish finds certifies there, and a draw it does not certify is solved
+    alone from its polished point.  The polish
     only moves the start: a trial passes only on a certified full-matrix
     gap at RESOLVE_GAP_SCALE, so a removed feature that activates at some
     draw still shows as nonzero.  A trial whose solve does not converge is

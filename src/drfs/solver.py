@@ -121,7 +121,7 @@ class ColumnFits(tuple):
     @property
     def iterations(self) -> int:
         """The most iterations any column ran.  A warm-started fit counts
-        its support polish as iteration 1."""
+        its support polish and the polish's gap checks as iteration 1."""
         return max(r.model.iterations if isinstance(r, ConvergenceError) else r.iterations
                    for r in self)
 
@@ -461,46 +461,47 @@ def _pattern_newton(
 
 
 def _support_polish(
-    kind: LossKind, x: np.ndarray, y: np.ndarray, w: np.ndarray, lam: float, b: np.ndarray,
-    b0: list[float],
-) -> tuple[np.ndarray, list[float]]:
-    """The start of a warm-started fit: b (d, T), whose columns all hold the
-    warm start, and its intercepts b0, with each column moved to the
-    minimizer over (b_S, b0) of sum_i w_i loss(y_i, x_iS . b_S + b0) +
-    lam s . b_S, S being the support of a sign pattern s: first the warm
-    start's support and signs, then, while that minimizer breaks the L1
-    optimality conditions at w, a corrected pattern, for at most
-    _POLISH_ROUNDS patterns.
+    problem: _WeightColumns, b: np.ndarray, b0: np.ndarray,
+) -> tuple[list[FittedModel | None], np.ndarray, np.ndarray]:
+    """The start of a warm-started fit, and its certificate where the start
+    is optimal.  b (d, T) holds the warm start in each column and b0 (T,)
+    its intercept.  Each column moves to the minimizer over (b_S, b0) of
+    sum_i w_i loss(y_i, x_iS . b_S + b0) + lam s . b_S, S being the support
+    of a sign pattern s, and the columns of each pattern take one gap check
+    there together (_WeightColumns.check, a dense product on the full
+    matrix), which is the L1 optimality test: first the warm start's
+    pattern, then, for a column the check did not certify, a corrected one,
+    for at most _POLISH_ROUNDS patterns.
 
     On a fixed support and sign pattern the L1 optimum moves smoothly with
     the weights (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000), so
     from the optimum at other weights this lands on or next to the optimum
-    at w.  Where the weights move the pattern, the minimizer shows it: a
-    feature off S with |x_j . (w loss')| > lam enters with the sign that
-    lowers the objective, and a feature whose coefficient crossed zero
+    at w.  Where the weights move the pattern, the check's correlations
+    show it: a feature off S whose raw correlation |x_j . (w o alpha)|
+    exceeds lam enters with its sign, and one whose coefficient crossed zero
     leaves, as in the active-set steps of the same paper.  The squared loss
     takes one Newton step per pattern, which is exact; the logistic loss
     steps until its step is below _POLISH_RESOLUTION, the resolution of
-    (b_S, b0), or for _POLISH_NEWTON_STEPS steps.  y and w are (n, T).  The
-    columns of one pattern share A = [x_S, 1], so each step solves their
-    (T, k, k) Hessians A.T diag(w loss'') A in one call, over the columns
-    still moving.  A column ends at the pattern minimizer with the lowest
-    objective at w, with lam ||b||_1, among those that are finite and no
-    higher than the start's; where none is, as when |S| + 1 > n or a
-    Hessian is singular, it keeps the start.
+    (b_S, b0), or for _POLISH_NEWTON_STEPS steps.  The columns of one
+    pattern share A = [x_S, 1], so each step solves their (T, k, k) Hessians
+    A.T diag(w loss'') A in one call, over the columns still moving.
+
+    Returns per column the FittedModel of the check that certified it
+    (iteration 1) or None, and the start of _fit_column for the others: the
+    pattern minimizer with the lowest objective at w, among those finite and
+    no higher than the warm start's, or the warm start where none is (as
+    when |S| + 1 > n or a Hessian is singular).  Overflows are silent here:
+    an infinite or NaN gap certifies nothing, and _fit_column's start raises.
     """
+    kind, lam, w, y, x = problem.kind, problem.lam, problem.w, problem.y, problem.dataset.x
     n, batch = w.shape
-
-    def objective(bb: np.ndarray, margins: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        return (np.vecdot(w[:, cols], _loss(kind, y[:, cols], margins), axis=0)
-                + lam * np.abs(bb).sum(axis=0))
-
     signs = np.sign(b)
-    b_try, b0_try = b.copy(), np.array(b0)
-    best_b, best_b0 = b.copy(), b0_try.copy()
+    b, b0 = b.copy(), b0.copy()
+    best_b, best_b0 = b.copy(), b0.copy()
+    fits: list[FittedModel | None] = [None] * batch
     live = np.arange(batch)
     with np.errstate(over="ignore", invalid="ignore"):
-        best_obj = objective(b, _times_support(x, b) + b0_try, live)
+        best_obj = problem.objective(_times_support(x, b) + b0, b)
         for _ in range(_POLISH_ROUNDS):
             groups: dict[bytes, list[int]] = {}
             for j in live.tolist():
@@ -516,111 +517,108 @@ def _support_polish(
                 a[:, -1] = 1.0
                 penalty = lam * np.append(signs[support, cols[0]], 0.0)[:, None]
                 theta = _pattern_newton(kind, a, y[:, cols], w[:, cols], penalty,
-                                        np.vstack([b_try[np.ix_(support, cols)], b0_try[cols]]))
+                                        np.vstack([b[np.ix_(support, cols)], b0[cols]]))
                 finite = np.isfinite(theta).all(axis=0)
                 cols, theta = cols[finite], theta[:, finite]
-                b_try[:, cols] = 0.0
-                b_try[np.ix_(support, cols)] = theta[:-1]
-                b0_try[cols] = theta[-1]
+                b[:, cols] = 0.0
+                b[np.ix_(support, cols)] = theta[:-1]
+                b0[cols] = theta[-1]
                 solved.append(cols)
             live = np.sort(np.concatenate(solved)) if solved else live[:0]
             if not live.size:
                 break
-            b_live = b_try[:, live]
-            margins = _times_support(x, b_live) + b0_try[live]
-            obj = objective(b_live, margins, live)
+            b_live, b0_live = b[:, live], b0[live]
+            margins = _times_support(x, b_live) + b0_live
+            obj = problem.objective(margins, b_live, live)
             better = obj <= best_obj[live]
             kept = live[better]
-            best_b[:, kept], best_b0[kept] = b_live[:, better], b0_try[kept]
+            best_b[:, kept], best_b0[kept] = b_live[:, better], b0_live[better]
             best_obj[kept] = obj[better]
-            # the optimality conditions at each pattern minimizer: a feature off
-            # the support whose gradient exceeds lam enters against its
-            # gradient's sign, and one whose coefficient crossed zero leaves
-            grad = x.T @ (w[:, live] * _derivative(kind, y[:, live], margins))
-            pattern = signs[:, live]
-            corrected = np.where((b_live == 0.0) & (np.abs(grad) > lam), -np.sign(grad),
-                                 np.where(np.sign(b_live) == -pattern, 0.0, pattern))
-            signs[:, live] = corrected
-            live = live[np.any(corrected != pattern, axis=0)]
+            alpha, corr, shrink, gap, _, certified = problem.check(x, margins, obj, None, live)
+            for i in np.flatnonzero(certified).tolist():
+                k = live[i]
+                fits[k] = FittedModel(b=b_live[:, i].copy(), b0=b0_live[i].item(),
+                                      alpha=alpha[:, i].copy(), lam=lam, weights=w[:, k],
+                                      gap=gap[i], loss_kind=kind, iterations=1)
+            left = np.logical_not(certified)
+            live, b_live, alpha = live[left], b_live[:, left], alpha[:, left]
             if not live.size:
                 break
-    return best_b, best_b0.tolist()
+            # the optimality conditions at each uncertified minimizer: a feature
+            # off the support whose raw correlation exceeds lam (its shrunk one
+            # exceeds lam * shrink) enters with its sign, and one whose
+            # coefficient crossed zero leaves
+            pattern = signs[:, live]
+            enters = (b_live == 0.0) & (corr[:, left] > lam * shrink[left])
+            rows = np.flatnonzero(enters.any(axis=1))
+            corrected = np.where(np.sign(b_live) == -pattern, 0.0, pattern)
+            corrected[rows] = np.where(enters[rows],
+                                       np.sign(x[:, rows].T @ (w[:, live] * alpha)),
+                                       corrected[rows])
+            signs[:, live] = corrected
+            live = live[np.any(corrected != pattern, axis=0)]
+    return fits, best_b, best_b0
 
 
 def _intercept_logistic(
-    y: np.ndarray, t0: np.ndarray, w: np.ndarray, wy: np.ndarray, b0: list[float],
-    target: list[float],
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Guarded 1-D Newton for the intercept of each column of t0 and w (n, T).
+    y: np.ndarray, t0: np.ndarray, w: np.ndarray, wy: np.ndarray, b0: float, target: float,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Guarded 1-D Newton for the intercept of one column: margins t0,
+    weights w and labels y (n, 1), wy = w * y, from the start b0 until the
+    gradient magnitude is at most target.
 
-    y is (n, T) or (n, 1) and wy = w * y; b0 and target hold one start and
-    one gradient magnitude to stop at per column.  Returns the intercepts,
-    the margins t0 + b0 at them and _sigmoid_neg(y * margins), which the
-    last gradient evaluation computed.  The gradients of all columns are
-    evaluated together; each column takes its own steps, and a column that
-    has stopped keeps its intercept while the others go on.  The targets
-    are min(eq_tol, _EQ_NEWTON_FLOOR * sum w), past eq_tol down to the
+    Returns the intercept, the margins t0 + b0 at it and _sigmoid_neg(y *
+    margins), which the last gradient evaluation computed.  The target is
+    min(eq_tol, _EQ_NEWTON_FLOOR * sum w), past eq_tol down to the
     floating-point floor: the dual equality residual the Newton leaves
     behind enters the certified gap roughly as residual * |b0|, so stopping
     at eq_tol would put a floor under the gap.
     """
-    b0 = list(b0)
-    live = range(len(b0))
 
-    # minus the gradient in b0 at b0 + step, per column; u is t0 + b0.  With
-    # labels in {-1, +1}, wy . s rounds exactly as w . (y * s).
-    def slope_at(step: list[float]) -> list[float]:
-        return np.vecdot(wy, _sigmoid_neg(y * (u + step)), axis=0).tolist()
+    # minus the gradient in b0 at b0 + step; u is t0 + b0.  With labels in
+    # {-1, +1}, wy . s rounds exactly as w . (y * s).
+    def slope_at(step: float) -> float:
+        return np.vecdot(wy, _sigmoid_neg(y * (u + step)), axis=0).item()
 
+    stopped = False
     for steps in range(201):
         u = t0 + b0
         s = _sigmoid_neg(y * u)
-        slope = np.vecdot(wy, s, axis=0).tolist()
-        live = [k for k in live if not abs(slope[k]) <= target[k]]
-        if not live or steps == 200:
+        slope = np.vecdot(wy, s, axis=0).item()
+        if stopped or abs(slope) <= target or steps == 200:
             break
-        hess = np.vecdot(w, s * (1.0 - s), axis=0).tolist()
-        step = [0.0] * len(b0)
-        flat = []
-        for k in live:
-            if hess[k] > 1e-300:
-                step[k] = min(10.0, max(-10.0, slope[k] / hess[k]))
-            else:
-                # every sigmoid saturated, so the gradient is flat here:
-                # double the step until the gradient changes sign
-                step[k] = math.copysign(1.0, slope[k])
-                flat.append(k)
-        for _ in range(_PLATEAU_DOUBLINGS):
-            if not flat:
-                break
-            at = slope_at(step)
-            flat = [k for k in flat if not at[k] * slope[k] <= 0.0]
-            for k in flat:
-                step[k] *= 2.0
+        hess = np.vecdot(w, s * (1.0 - s), axis=0).item()
+        if hess > 1e-300:
+            step = min(10.0, max(-10.0, slope / hess))
+        else:
+            # every sigmoid saturated, so the gradient is flat here: double
+            # the step until the gradient changes sign
+            step = math.copysign(1.0, slope)
+            for _ in range(_PLATEAU_DOUBLINGS):
+                if slope_at(step) * slope <= 0.0:
+                    break
+                step *= 2.0
         # halve until the gradient magnitude actually decreases
-        halve = live
         for _ in range(60):
-            at = slope_at(step)
-            halve = [k for k in halve if not abs(at[k]) <= abs(slope[k])]
-            if not halve:
+            if abs(slope_at(step)) <= abs(slope):
                 break
-            for k in halve:
-                step[k] *= 0.5
-        moving = []
-        for k in live:
-            # a step below the resolution of b0 ends this column's Newton
-            if not abs(step[k]) < 1e-16 * max(1.0, abs(b0[k])):
-                moving.append(k)
-            b0[k] += step[k]
-        live = moving
+            step *= 0.5
+        # a step below the resolution of b0 ends the Newton
+        stopped = abs(step) < 1e-16 * max(1.0, abs(b0))
+        b0 += step
     return b0, u, s
 
 
+_OVERFLOW = ("the fit overflows: the squared features or the starting losses exceed the "
+             "float range; rescale the features or labels")
+
+
 class _WeightColumns:
-    """The weighted problem at each column of weights w (n, T): the constants
-    a fit reads, and the intercept, objective and gap check that the batched
-    start of a warm fit and the one-column loop share, each computed for all
-    T columns at once."""
+    """The weighted problem at each column of weights w (n, T): the objective
+    and gap check that the support polish takes for all T columns at once
+    and _fit_column for its one column, whose start also sets the constants
+    of that one-column loop.  cols picks the columns an objective or a check
+    is for."""
 
     def __init__(self, dataset: Dataset, w: np.ndarray, kind: LossKind, lam: float,
                  config: FitConfig):
@@ -629,72 +627,74 @@ class _WeightColumns:
         self.nu = nu_constant(kind)
         # y once per column: operands of one shape skip numpy's broadcasting set-up
         self.y = np.repeat(dataset.y[:, None], batch, axis=1)
-        self.wy = w * self.y
-        self.sw = w.sum(axis=0)
         self.eq_tol = DEFAULT_EQ_PER_ROW * n
         self.eq_rounding = _EQ_ROUNDING_PER_ROW * (n + 1)
-        self.newton_target = [min(self.eq_tol, _EQ_NEWTON_FLOOR * s) for s in self.sw.tolist()]
-        with np.errstate(over="ignore"):  # an overflow fails start
-            if config.gap_tolerance is not None:
-                self.gap_tol = [config.gap_tolerance] * batch
-            else:
-                self.gap_tol = [DEFAULT_GAP_SCALE * objective_scale(dataset, w[:, k], kind)
-                                for k in range(batch)]
+        if config.gap_tolerance is not None:
+            self.gap_tol = np.full(batch, config.gap_tolerance)
+        else:
+            with np.errstate(over="ignore"):  # an overflow fails the fit just below
+                self.gap_tol = np.array([DEFAULT_GAP_SCALE * objective_scale(dataset, w[:, k], kind)
+                                         for k in range(batch)])
+            # an infinite tolerance would certify any gap, even an infinite one
+            if not np.all(np.isfinite(self.gap_tol)):
+                raise ValueError(_OVERFLOW)
 
-    def intercept(self, t0: np.ndarray, b0: list[float]) -> tuple:
-        """The intercepts, the margins t0 + b0 and, for the logistic loss,
-        _sigmoid_neg(y * margins); see _intercept_logistic."""
+    def intercept(self, t0: np.ndarray, b0: float) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """The intercept of the one column's margins t0 (n, 1), the margins
+        t0 + b0 at it and, for the logistic loss, _sigmoid_neg(y * margins);
+        see _intercept_logistic."""
         if self.kind is LossKind.SQUARED:
             b0 = np.vecdot(self.w, self.y - t0, axis=0) / self.sw
-            return b0.tolist(), t0 + b0, None
+            return b0.item(), t0 + b0, None
         return _intercept_logistic(self.y, t0, self.w, self.wy, b0, self.newton_target)
 
-    def losses(self, margins: np.ndarray) -> np.ndarray:
-        return np.vecdot(self.w, _loss(self.kind, self.y, margins), axis=0)
+    def losses(self, margins: np.ndarray, cols=slice(None)) -> np.ndarray:
+        return np.vecdot(self.w[:, cols], _loss(self.kind, self.y[:, cols], margins), axis=0)
 
-    def objective(self, margins: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.losses(margins) + self.lam * np.abs(b).sum(axis=0)
+    def objective(self, margins: np.ndarray, b: np.ndarray, cols=slice(None)) -> np.ndarray:
+        return self.losses(margins, cols) + self.lam * np.abs(b).sum(axis=0)
 
-    def start(self, b: np.ndarray, b0: list[float]) -> tuple:
-        """The margins x @ b, the intercepts from b0 and the objectives there;
-        sets the step-size floors l_min and the column norms, and raises
-        ValueError when a floor or an objective overflows."""
+    def start(self, b: np.ndarray, b0: float) -> tuple[np.ndarray, float, float]:
+        """The one-column loop's start from b (d, 1) and the intercept start
+        b0: the margins x @ b, the intercept and the objective there.  Sets
+        the intercept Newton's target, the step-size floor l_min and the
+        column norms; raises ValueError when the floor or objective overflows."""
         dataset, w = self.dataset, self.w
+        self.sw, self.wy = w.sum(axis=0), w * self.y
+        self.newton_target = min(self.eq_tol, _EQ_NEWTON_FLOOR * self.sw.item())
         t0 = _times_support(dataset.x, b)
         b0 = self.intercept(t0, b0)[0]
         with np.errstate(over="ignore"):  # an overflow fails the check below
-            obj = self.objective(t0 + b0, b).tolist()
+            obj = self.objective(t0 + b0, b).item()
         # a fit at unit weights reads the sums cached on the dataset
-        unit = w.shape[1] == 1 and bool(np.all(w == 1.0))
-        w_sq_sums = dataset._x_sq_sums if unit else _column_square_sums(dataset.x, w)
-        self.l_min = [max(self.nu * m, 1e-12) for m in w_sq_sums.max(axis=0).tolist()]
-        # the Gap Safe rule's column norms, per column of w: the weighted dual
-        # is 1/nu strongly concave in ||a||_w, so its optimum lies within
-        # sqrt(2 nu gap) of alpha in that norm
+        w_sq_sums = dataset._x_sq_sums if np.all(w == 1.0) else _column_square_sums(dataset.x, w)
+        self.l_min = max(self.nu * w_sq_sums.max().item(), 1e-12)
+        # the Gap Safe rule's column norms: the weighted dual is 1/nu strongly
+        # concave in ||a||_w, so its optimum lies within sqrt(2 nu gap) of
+        # alpha in that norm
         self.norms = np.sqrt(w_sq_sums)
-        if not all(map(math.isfinite, self.l_min + obj)):
-            raise ValueError("the fit overflows: the squared features or the starting losses "
-                             "exceed the float range; rescale the features or labels")
+        if not (math.isfinite(self.l_min) and math.isfinite(obj)):
+            raise ValueError(_OVERFLOW)
         return t0, b0, obj
 
-    def check(self, xa: np.ndarray, t0: np.ndarray, b0, obj, bounds) -> tuple:
-        """The gap check at the margins t0 + b0 with objectives obj: the
-        repaired dual point, its correlations and shrink on the columns xa of
-        x (_repair_from_margins), and per column the gap, the dual equality
+    def check(self, xa: np.ndarray, margins: np.ndarray, obj, bounds, cols=slice(None)) -> tuple:
+        """The gap check at the margins with objectives obj: the repaired dual
+        point, its correlations and shrink on the columns xa of x
+        (_repair_from_margins), and per column the gap, the dual equality
         residual and whether the check certifies: the gap is within its
         tolerance and |sum_i w_i alpha_i| within max(1e-10 n, 2 (n + 1) eps
         sum_i w_i |alpha_i|), the rounding the squared loss's dual shift
         leaves behind (_EQ_ROUNDING_PER_ROW)."""
-        w = self.w
-        alpha, corr, shrink = _repair_from_margins(self.kind, self.y, xa, w, self.lam, t0 + b0,
-                                                   bounds)
-        dual = _dual_value(self.kind, self.y, w, alpha)
+        w, y = self.w[:, cols], self.y[:, cols]
+        alpha, corr, shrink = _repair_from_margins(self.kind, y, xa, w, self.lam, margins, bounds)
+        dual = _dual_value(self.kind, y, w, alpha)
         gap = np.maximum(0.0, np.subtract(obj, dual)).tolist()
         eq_residual = np.abs(np.vecdot(w, alpha, axis=0)).tolist()
         # the rounding term is computed only where 1e-10 n is not enough
         certified = [g <= tol and (e <= self.eq_tol or e <= self.eq_rounding * float(
                          w[:, k] @ np.abs(alpha[:, k])))
-                     for k, (g, tol, e) in enumerate(zip(gap, self.gap_tol, eq_residual))]
+                     for k, (g, tol, e) in enumerate(zip(gap, self.gap_tol[cols].tolist(),
+                                                         eq_residual))]
         return alpha, corr, shrink, gap, eq_residual, certified
 
 
@@ -711,12 +711,13 @@ def fit_weighted_erm(
     Deterministic for fixed inputs.  Weights of shape (n,) give a
     FittedModel, or raise ConvergenceError carrying the best iterate when
     max_iterations runs out first.  Weights of shape (n, T) are the
-    verifier's batched form: the T columns share one support polish and one
-    first gap check, and give a ColumnFits, which holds rather than raises a
-    column's ConvergenceError.  A warm_start (b, b0) is first polished to the
-    optimum on its sign pattern at the given weights, or on a pattern
-    corrected where the weights move it, which counts as iteration 1.
-    _fit_columns and _fit_column document the algorithm.
+    verifier's batched form: the T columns share one support polish, whose
+    gap checks they take together, and give a ColumnFits, which holds rather
+    than raises a column's ConvergenceError.  A warm_start (b, b0) is first
+    polished to the optimum on its sign pattern at the given weights, or on
+    a pattern corrected where the weights move it, and gap-checked there,
+    which counts as iteration 1.  _fit_columns and _fit_column document the
+    algorithm.
     """
     # an (n, T) matrix keeps its T; any other shape but (n,) is refused
     w = _check_weights(weights, (dataset.n,) + np.shape(weights)[1:2])
@@ -741,29 +742,25 @@ def _fit_columns(
     Returns, per column, its FittedModel or the ConvergenceError carrying its
     best iterate.  A cold fit runs _fit_column on each column from the zero
     model.  A warm start is polished for all columns at once
-    (_support_polish): each column moves to the minimizer of its weighted
-    loss plus lam s . b_S over the support S of a sign pattern s, the warm
-    start's or one corrected where the weights move it, or stays at the warm
-    start where no such point is finite and better.  The polish counts as
-    iteration 1, and all columns take their first gap check there together,
-    on the full matrix, with a fresh _CorrelationBounds when x holds at least
-    _GAP_SAFE_MIN_BYTES.  A column it certifies returns with iterations = 1;
-    _fit_column solves each other column alone from its polished point,
-    checking again at iteration 1.  So a re-solve whose optimum's pattern the
-    polish finds certifies at its first check, and with max_iterations = 1
-    the fit polishes and checks once.  The polish moves only the start: a
-    fit still returns only from a gap check on the full matrix.  At T = 1
-    these are the float operations of a fit of that column alone; for T > 1
-    the batched products of the start may round differently in the last
-    bits.  An overflowing step-size floor or start objective raises
-    ValueError before any check.
+    (_support_polish), which counts as iteration 1: a column one of its gap
+    checks certifies returns with iterations = 1, and _fit_column solves
+    each other column alone from its polished start, checking again at
+    iteration 1.  So a re-solve whose optimum's pattern the polish finds
+    certifies at its first check, and with max_iterations = 1 the fit
+    polishes and checks once.  The polish moves only the start: a fit still
+    returns only from a gap check on the full matrix.  At T = 1 these are
+    the float operations of a fit of that column alone; for T > 1 the
+    batched products of the polish may round differently in the last bits.
+    An overflowing default gap tolerance raises ValueError before any check,
+    and _fit_column's start raises it for an overflowing step-size floor or
+    start objective, so a warm column on such input certifies at a finite
+    gap in the polish or raises.
     """
     if config is None:
         config = FitConfig()
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    x = dataset.x
-    d = x.shape[1]
+    d = dataset.d
     batch = weights.shape[1]
     _check_labels(kind, dataset.y)  # the fit calls the unchecked loss kernels
     if warm_start is None:
@@ -774,17 +771,12 @@ def _fit_columns(
     if b_start.shape != (d,):
         raise ValueError(f"warm start b must have length {d}")
     problem = _WeightColumns(dataset, weights, kind, lam, config)
-    b, b0 = _support_polish(kind, x, problem.y, weights, lam,
-                            np.repeat(b_start[:, None], batch, axis=1),
-                            [float(warm_start[1])] * batch)
-    t0, b0_fit, obj = problem.start(b, b0)
-    bounds = _CorrelationBounds(x, problem.norms) if x.nbytes >= _GAP_SAFE_MIN_BYTES else None
-    alpha, _, _, gap, _, certified = problem.check(x, t0, b0_fit, obj, bounds)
-    return [FittedModel(b=b[:, k].copy(), b0=b0_fit[k], alpha=alpha[:, k].copy(), lam=lam,
-                        weights=weights[:, k], gap=gap[k], loss_kind=kind, iterations=1) if done
+    fits, b, b0 = _support_polish(problem, np.repeat(b_start[:, None], batch, axis=1),
+                                  np.full(batch, float(warm_start[1])))
+    return [fit if fit is not None
             else _fit_column(dataset, np.ascontiguousarray(weights[:, k]), kind, lam, config,
-                             b[:, k:k + 1], b0[k], 1)
-            for k, done in enumerate(certified)]
+                             b[:, k:k + 1], b0[k].item(), 1)
+            for k, fit in enumerate(fits)]
 
 
 def _fit_column(
@@ -841,9 +833,9 @@ def _fit_column(
     x = dataset.x
     n, d = x.shape
     col = _WeightColumns(dataset, weights[:, None], kind, lam, config)
-    t0, (b0,), (obj_curr,) = col.start(b, [b0])
-    w, y, norms, nu = col.w, col.y, col.norms, col.nu
-    (l_min,), (gap_tol,) = col.l_min, col.gap_tol
+    t0, b0, obj_curr = col.start(b, b0)
+    w, y, norms, nu, l_min = col.w, col.y, col.norms, col.nu, col.l_min
+    gap_tol = col.gap_tol.item()
     lip, tk, first_check = l_min, 1.0, iterations
     v, t0_v = b, t0
     least = _WORKING_SET_LEAST  # doubles when a working set misses a feature
@@ -870,7 +862,7 @@ def _fit_column(
         if ((iterations - first_check) % _CHECK_EVERY == 0
                 or iterations >= config.max_iterations):
             alpha, corr, shrink, (gap,), (eq_residual,), (certified,) = col.check(
-                xa, t0, b0, obj_curr, bounds if xa is x else None)
+                xa, t0 + b0, obj_curr, bounds if xa is x else None)
             out_of_iterations = iterations >= config.max_iterations
             if xa is not x:
                 if out_of_iterations or certified or gap <= _REJOIN_RATIO * best_gap:
@@ -918,7 +910,7 @@ def _fit_column(
                         b, v, cols = b[kept], v[kept], kept
                         xa = x[:, cols]
 
-        (b0_v,), margins_v, sig_v = col.intercept(t0_v, [b0])
+        b0_v, margins_v, sig_v = col.intercept(t0_v, b0)
         f_v = col.losses(margins_v).item()
         grad = xa.T @ (w * _derivative(kind, y, margins_v, sig_v))
 
@@ -943,7 +935,7 @@ def _fit_column(
         v = b_new + momentum * (b_new - b)
         t0_v = t0_new + momentum * (t0_new - t0)
         b, t0 = b_new, t0_new
-        (b0,), margins, _ = col.intercept(t0, [b0_v])
+        b0, margins, _ = col.intercept(t0, b0_v)
         obj_new = col.objective(margins, b).item()
         if obj_new > obj_curr:  # adaptive restart
             v, t0_v, t_next = b, t0, 1.0

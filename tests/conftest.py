@@ -49,6 +49,15 @@ def uniform_fit(dataset, kind, lam, **config_kwargs):
     return fit_weighted_erm(dataset, weights, kind, lam, config)
 
 
+def without_polish(monkeypatch):
+    """Patch the support polish out: a warm-started fit certifies nothing
+    there, and _fit_column solves each column from the warm start itself."""
+    from drfs import solver
+
+    monkeypatch.setattr(solver, "_support_polish",
+                        lambda problem, b, b0: ([None] * b.shape[1], b, b0))
+
+
 def screen_setup(dataset, kind, lambda_ratio, v, **config_kwargs):
     """Fit at w=1, build the reference, and screen; returns all pieces."""
     lam = lambda_ratio * lambda_max(dataset, np.ones(dataset.n), kind)

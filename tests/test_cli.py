@@ -15,6 +15,7 @@ import drfs
 from drfs import Dataset, Task, cli, oracle, solver, synth
 from drfs.cli import build_parser, main
 from drfs.data import serialize_libsvm
+from conftest import without_polish
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -436,7 +437,7 @@ class TestVerify:
             return verify(*args, reference_model=zero)
 
         monkeypatch.setattr(cli, "verify_no_false_elimination", from_zero)
-        monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
+        without_polish(monkeypatch)
         monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 1)
         code = main(["verify", reg_file, "--lambda-ratio", "0.3", "--V", "0.1",
                      "--trials", "4", "--seed", "5"])

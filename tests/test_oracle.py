@@ -15,10 +15,10 @@ from drfs import (
     v_from_delta,
     verify_no_false_elimination,
 )
-from drfs import oracle, solver
+from drfs import oracle
 from drfs.data import Task, standardize, synth
 from drfs.solver import fit_weighted_erm
-from conftest import screen_setup
+from conftest import screen_setup, without_polish
 
 SQ = LossKind.SQUARED
 LOG = LossKind.LOGISTIC
@@ -123,7 +123,7 @@ class TestVerify:
         lam, model, box, _, report = screen_setup(reg40, SQ, 0.3, 0.1)
         assert model.support.size > 0
         zero = dataclasses.replace(model, b=np.zeros_like(model.b))
-        monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
+        without_polish(monkeypatch)
         monkeypatch.setattr(oracle, "RESOLVE_MAX_ITERATIONS", 1)
         # the 5 draws in one batch, then in batches of 2, 2 and 1
         for block in (oracle.COLUMN_BLOCK_BYTES, 2 * 8 * reg40.n):
@@ -151,7 +151,7 @@ class TestVerify:
             return sorted({j for _, j, _ in outcome.violations}), len(outcome.violations)
 
         polished = violations()
-        monkeypatch.setattr(solver, "_support_polish", lambda kind, x, y, w, lam, b, b0: (b, b0))
+        without_polish(monkeypatch)
         assert polished[1] > 0
         assert polished == violations()
 

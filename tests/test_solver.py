@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from drfs import (
     lambda_max,
     primal_objective,
     recover_dual,
+    sample_feasible,
     synth,
 )
 from drfs import data, solver
@@ -32,6 +35,7 @@ from drfs.solver import (
 )
 from drfs import uncertainty
 from drfs.uncertainty import COLUMN_BLOCK_BYTES
+from conftest import screen_setup, without_polish
 
 SQ = LossKind.SQUARED
 LOG = LossKind.LOGISTIC
@@ -174,32 +178,21 @@ _SATURATED_STARTS = [
 class TestInterceptNewton:
     @staticmethod
     def _solve(t0, w):
-        """Intercepts of the columns of t0 and w (2, T), labels [1, -1]."""
+        """The intercept of one column t0, w (2, 1), labels [1, -1]."""
         y = np.array([[1.0], [-1.0]])
-        targets = np.minimum(DEFAULT_EQ_PER_ROW * 2, _EQ_NEWTON_FLOOR * w.sum(axis=0))
-        b0, margins, sig = _intercept_logistic(y, t0, w, w * y, [0.0] * t0.shape[1],
-                                               targets.tolist())
+        target = min(DEFAULT_EQ_PER_ROW * 2, _EQ_NEWTON_FLOOR * w.sum())
+        b0, margins, sig = _intercept_logistic(y, t0, w, w * y, 0.0, target)
         np.testing.assert_array_equal(margins, t0 + b0)
         np.testing.assert_array_equal(sig, _sigmoid_neg(y * margins))
-        grad = np.vecdot(w, y * sig, axis=0)
-        assert np.all(np.abs(grad) <= targets)
+        grad = np.vecdot(w, y * sig, axis=0).item()
+        assert abs(grad) <= target
         return b0, grad
 
     @pytest.mark.parametrize("t0,w,expected", _SATURATED_STARTS)
     def test_saturated_start_reaches_optimum(self, t0, w, expected):
         b0, grad = self._solve(np.array(t0)[:, None], np.array(w)[:, None])
-        assert b0 == [expected]
-        assert grad.tolist() == [0.0]
-
-    def test_batch_columns_keep_their_own_steps(self):
-        """The three starts as one batch: the plateau column's doublings and
-        the clipped column's steps leave the other columns' results as they
-        are alone."""
-        t0 = np.array([t for t, _, _ in _SATURATED_STARTS]).T
-        w = np.array([w for _, w, _ in _SATURATED_STARTS]).T
-        b0, grad = self._solve(t0, w)
-        assert b0 == [expected for _, _, expected in _SATURATED_STARTS]
-        assert grad.tolist() == [0.0, 0.0, 0.0]
+        assert b0 == expected
+        assert grad == 0.0
 
 
 class TestLambdaMax:
@@ -595,7 +588,9 @@ class TestLazyChecks:
             lazy = solver._fit_columns(ds, weights, kind, lam, config, warm)
             mp.setattr(solver, "_multiplied_columns", lambda undecided: np.arange(d))
             dense = solver._fit_columns(ds, weights, kind, lam, config, warm)
-        assert skipped
+        # no bounded check runs where every warm column certified in the polish
+        assert skipped or all(isinstance(r, solver.FittedModel) and r.iterations == 1
+                              for r in lazy)
         for got, want in zip(_results(lazy), _results(dense), strict=True):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
@@ -914,8 +909,8 @@ def test_column_square_sums(n, d):
 def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     """A fit at unit weights takes sum_i x_ij^2 from the dataset, computed
     once and bit-equal to _column_square_sums; so does each column of a cold
-    batch of ones, which is fit alone.  Any other fit, and the batched start
-    of a warm one, computes its own sums."""
+    batch of ones, which is fit alone.  Any other fit computes its own sums,
+    and a warm batch that certifies in its support polish none."""
     calls = []
 
     def counting(x, w):
@@ -941,8 +936,9 @@ def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     assert calls[2:] == [(other.n, 1)]  # the cache, once for both columns
     np.testing.assert_array_equal(other._x_sq_sums,
                                   _column_square_sums(other.x, np.ones((other.n, 1))))
-    fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam, warm_start=(first.b, first.b0))
-    assert calls[3:] == [(other.n, 2)]
+    warm = fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam, warm_start=(first.b, first.b0))
+    assert [model.iterations for model in warm] == [1, 1]
+    assert len(calls) == 3
 
 
 def _polish_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:
@@ -956,11 +952,6 @@ def _polish_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:
     y = np.where(signal + 0.5 * rng.standard_normal(n) > 0, 1.0, -1.0)
     y[:2] = [1.0, -1.0]
     return make(x, y, Task.BINARY)
-
-
-def _without_polish(kind, x, y, w, lam, b, b0):
-    """_support_polish patched out: the fit starts at the warm start itself."""
-    return b, b0
 
 
 class TestSupportPolish:
@@ -1007,23 +998,25 @@ class TestSupportPolish:
         starts = []
         polish = solver._support_polish
 
-        def recording(*args):
-            out = polish(*args)
-            starts.append((args[-2], args[-1]) + out)
-            return out
+        def recording(problem, b, b0):
+            fits, b_polished, b0_polished = polish(problem, b, b0)
+            # the polished start: a certified column's model, or where
+            # _fit_column starts
+            starts.append((b, b0, [(b_polished[:, k], b0_polished[k]) if fit is None
+                                   else (fit.b, fit.b0) for k, fit in enumerate(fits)]))
+            return fits, b_polished, b0_polished
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_support_polish", recording)
             polished = solver._fit_columns(ds, weights, kind, lam, config, warm)
-            mp.setattr(solver, "_support_polish", _without_polish)
+            without_polish(mp)
             raw = solver._fit_columns(ds, weights, kind, lam, config, warm)
-        ((b, b0, b_polished, b0_polished),) = starts
+        ((b, b0, polished_starts),) = starts
         # a column of a wider batch sums in another order than duality_gap
         rounding = 1e-13 * objective_scale(ds, ones, kind)
-        for k in range(batch):
+        for k, (b_polished, b0_polished) in enumerate(polished_starts):
             before = primal_objective(ds, weights[:, k], kind, lam, b[:, k], b0[k])
-            after = primal_objective(ds, weights[:, k], kind, lam, b_polished[:, k],
-                                     b0_polished[k])
+            after = primal_objective(ds, weights[:, k], kind, lam, b_polished, b0_polished)
             # the polish compares objectives it sums in its own order
             assert after <= before + 1e-14 * abs(before)
             if isinstance(raw[k], ConvergenceError):
@@ -1038,3 +1031,98 @@ class TestSupportPolish:
             # relative too: a nearly separable 4-row logistic fit has b near 13
             # and so little curvature that certified fits differ by 4e-6
             np.testing.assert_allclose(polished[k].b, raw[k].b, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("kind,fixture,ratio,v,rounds", [
+        (SQ, "reg40", 0.3, 1.0, 1),
+        (LOG, "clf40", 0.3, 1.0, 2),  # a feature enters at one of the draws
+        (LOG, "clf40", 0.1, 3.0, 2),  # two corrected patterns in round 2
+    ])
+    def test_certified_batch_checks_once_per_pattern(self, monkeypatch, request, kind, fixture,
+                                                     ratio, v, rounds):
+        """The acceptance gate's problems at four corner draws, all certified
+        in the polish: each pattern round's Newton solves are followed by one
+        gap check, and no intercept Newton, square sums or correlation bounds
+        are computed."""
+        ds = request.getfixturevalue(fixture)
+        lam, model, box, _, _ = screen_setup(ds, kind, ratio, v)
+        rng = np.random.default_rng(99)
+        draws = np.stack([sample_feasible(box, rng, "corner") for _ in range(4)], axis=1)
+        events = []
+
+        def logged(event, fn):
+            def logging(*args):
+                events.append(event)
+                return fn(*args)
+            return logging
+
+        def unused(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(solver, "_pattern_newton", logged("N", solver._pattern_newton))
+        monkeypatch.setattr(solver, "_repair_from_margins",
+                            logged("R", solver._repair_from_margins))
+        for name in ("_intercept_logistic", "_column_square_sums", "_CorrelationBounds"):
+            monkeypatch.setattr(solver, name, unused)
+        config = FitConfig(gap_tolerance=1e-11 * objective_scale(ds, np.ones(ds.n), kind))
+        fits = fit_weighted_erm(ds, draws, kind, lam, config, (model.b, model.b0))
+        assert all(isinstance(fit, solver.FittedModel) and fit.iterations == 1 for fit in fits)
+        assert re.fullmatch("(N+R)+", "".join(events))
+        assert events.count("R") == rounds
+
+    @pytest.mark.parametrize("kind", [SQ, LOG])
+    def test_check_on_large_input_equals_a_bounded_one(self, monkeypatch, kind):
+        """On x over _GAP_SAFE_MIN_BYTES the polish's dense check gives, bit for
+        bit, the dual point, correlations and shrink of a check with fresh
+        correlation bounds, which multiplies every column."""
+        n, d = 1100, 120
+        ds = _random_problem(5, n, d, kind)
+        assert ds.x.nbytes >= solver._GAP_SAFE_MIN_BYTES
+        ones = np.ones(n)
+        lam = 0.2 * lambda_max(ds, ones, kind)
+        start = fit_weighted_erm(ds, ones, kind, lam)
+        weights = np.random.default_rng(6).uniform(0.8, 1.2, size=(n, 3))
+        repair, compared = solver._repair_from_margins, []
+
+        def comparing(kind_, y, x, w, lam_, margins, bounds=None):
+            out = repair(kind_, y, x, w, lam_, margins, bounds)
+            if bounds is None and x.shape == ds.x.shape:  # the polish's check
+                norms = np.sqrt(_column_square_sums(x, w))
+                bounded = repair(kind_, y, x, w, lam_, margins,
+                                 solver._CorrelationBounds(x, norms))
+                for got, want in zip(out, bounded, strict=True):
+                    np.testing.assert_array_equal(got, want)
+                compared.append(w.shape[1])
+            return out
+
+        monkeypatch.setattr(solver, "_repair_from_margins", comparing)
+        solver._fit_columns(ds, weights, kind, lam, None, (start.b, start.b0))
+        assert compared and compared[0] == 3
+
+    @pytest.mark.parametrize("feature_scale,label_scale,warm_scale,ratio,certifies", [
+        (1e159, 1.0, 0.0, 2.0, True),  # the intercept-only optimum, whose check is finite
+        (1e159, 1.0, 0.0, 0.5, False),
+        (1e159, 1.0, 1.0, 0.5, False),
+        (1.0, 1e200, 1.0, 0.5, False),
+    ])
+    def test_overflowing_warm_batch_certifies_or_raises(self, feature_scale, label_scale,
+                                                        warm_scale, ratio, certifies):
+        """Features or labels whose squares pass the float range, as in the
+        CLI's overflow test: a warm-started batch either certifies each column
+        at a finite gap in the polish or raises the fit's overflow error,
+        without a numpy warning or a NaN on the way."""
+        rng = np.random.default_rng(0)
+        ds = make(rng.uniform(-1, 1, (20, 3)) * feature_scale,
+                  rng.standard_normal(20) * label_scale)
+        lam = ratio * lambda_max(ds, np.ones(ds.n), SQ)
+        weights = rng.uniform(0.5, 1.5, size=(ds.n, 4))
+        warm = (warm_scale * rng.standard_normal(3) / feature_scale, label_scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not certifies:
+                with pytest.raises(ValueError, match="^the fit overflows: "):
+                    fit_weighted_erm(ds, weights, SQ, lam, warm_start=warm)
+                return
+            fits = fit_weighted_erm(ds, weights, SQ, lam, warm_start=warm)
+        for fit in fits:
+            assert isinstance(fit, solver.FittedModel) and fit.iterations == 1
+            assert math.isfinite(fit.gap)

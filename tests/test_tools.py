@@ -4,6 +4,7 @@ fit_hashes.py must also fix the BLAS thread count before numpy loads."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -38,3 +39,29 @@ def test_fit_hashes_pins_blas_before_numpy():
     assert len(pins) == 1
     assert ast.literal_eval(pins[0].iter) == (
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_code_lines_counts_only_code_tokens():
+    """A code line holds a token that is neither a comment nor a docstring;
+    a multi-line string that is no docstring counts on each of its lines."""
+    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    source = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+
+class C:
+    """Docstring."""
+
+    def f(self, x):
+        """Docstring
+        over two lines."""
+        # a comment line
+        s = """not a
+        docstring"""
+        return x
+'''
+    assert code_lines.count(source) == (16, 6)
