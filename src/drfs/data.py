@@ -88,9 +88,9 @@ class Dataset:
 
     @cached_property
     def _x_sq_sums(self) -> np.ndarray:
-        """The (d, 1) sums sum_i x_ij^2 a fit at unit weights reads, bit for
-        bit those of _column_square_sums at one weight column of ones."""
-        sums = _column_square_sums(self.x, np.ones((self.n, 1)))
+        """The sums sum_i x_ij^2 (d,) a fit at unit weights reads, bit for bit
+        those of _column_square_sums at a weight vector of ones."""
+        sums = _column_square_sums(self.x, np.ones(self.n))
         sums.flags.writeable = False  # every such fit shares them
         return sums
 

@@ -92,8 +92,10 @@ class FitConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
     def __post_init__(self) -> None:
-        if self.gap_tolerance is not None and not self.gap_tolerance > 0:
-            raise ValueError("gap_tolerance must be > 0")
+        # an infinite tolerance would certify any gap
+        if self.gap_tolerance is not None and not (math.isfinite(self.gap_tolerance)
+                                                   and self.gap_tolerance > 0):
+            raise ValueError("gap_tolerance must be finite and > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -132,8 +134,8 @@ def _check_weights(weights, shape: tuple[int, ...]) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != shape or w.size == 0:
         raise ValueError(f"weights must have shape {shape}, got shape {w.shape}")
-    if not np.all(w > 0):
-        raise ValueError("weights must be strictly positive")
+    if not (np.all(w > 0) and np.all(np.isfinite(w))):
+        raise ValueError("weights must be finite and strictly positive")
     return w
 
 
@@ -168,20 +170,19 @@ def _times_support(x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _columns_times(x: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x[:, cols].T @ v for ascending column indices cols and v of shape (n,)
-    or (n, T).
+    """x[:, cols].T @ v for ascending column indices cols and a vector v (n,).
 
-    When cols holds more than half of x's columns this is the rows cols of
-    x.T @ v itself.  Otherwise each run of consecutive columns is
+    When cols holds more than half of x's columns this is the entries cols
+    of x.T @ v itself.  Otherwise each run of consecutive columns is
     multiplied as a view of x, so no copy of x is made.  OpenBLAS's x.T @ v
     takes the columns four at a time and the last d mod 4 by narrower
     kernels, so runs made of whole aligned groups of four (see
-    _multiplied_columns) round as in x.T @ v for a vector v; a batch v, or
-    another BLAS, may differ from it in the last bits.
+    _multiplied_columns) round as in x.T @ v; another BLAS may differ from
+    it in the last bits.
     """
     if 2 * cols.size > x.shape[1]:
         return (x.T @ v)[cols]
-    out = np.empty(cols.shape + v.shape[1:])
+    out = np.empty(cols.size)
     starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1).tolist()
     for lo, hi in zip(starts, starts[1:] + [cols.size]):
         out[lo:hi] = x[:, cols[lo]:cols[hi - 1] + 1].T @ v
@@ -240,10 +241,11 @@ def _repair_from_margins(
     shrunk by, for 1-D margins or for each column of margins (n, T) with y
     and w of the same shape.
 
-    With the _CorrelationBounds of x, only the columns whose bound can reach
-    lam are multiplied; every other column is below lam and carries its
-    bound in place of |x_j.T (w o alpha)|, so the shrink is the one the
-    full product gives whenever the multiplied columns round as in x.T @ v.
+    With the _CorrelationBounds of x, for 1-D margins, only the columns
+    whose bound can reach lam are multiplied; every other column is below
+    lam and carries its bound in place of |x_j.T (w o alpha)|, so the
+    shrink is the one the full product gives whenever the multiplied
+    columns round as in x.T @ v.
     """
     alpha = _dual_from_margin(kind, y, margins)
     if kind is LossKind.SQUARED:
@@ -343,20 +345,19 @@ def _prioritized(
 
 def _multiplied_columns(undecided: np.ndarray) -> np.ndarray:
     """The columns of x a full-matrix check multiplies, in ascending order,
-    from the (d, T) mask of those whose bound cannot decide for a column of
-    the batch: each aligned group of four columns (the last one holds d mod
-    4) that holds a column undecided for any of them, so that
-    _columns_times rounds them as x.T @ v does."""
-    d = undecided.shape[0]
+    from the mask undecided (d,) of those whose bound cannot decide: each
+    aligned group of four columns (the last one holds d mod 4) that holds an
+    undecided column, so that _columns_times rounds them as x.T @ v does."""
+    d = undecided.size
     groups = np.zeros(-(-d // 4) * 4, dtype=bool)
-    groups[:d] = undecided.any(axis=1)
+    groups[:d] = undecided
     return np.flatnonzero(groups.reshape(-1, 4).any(axis=1).repeat(4)[:d])
 
 
 class _CorrelationBounds:
-    """Upper bounds ub (d, T) on the raw correlations |x_j.T (w o alpha)|
-    at each full-matrix check of a fit, per column of x and of the batch,
-    so that a check multiplies only the columns whose bound cannot decide.
+    """Upper bounds ub (d,) on the raw correlations |x_j.T (w o alpha)| at
+    each full-matrix check of a one-vector fit, so that a check multiplies
+    only the columns whose bound cannot decide.
 
     From one check to the next, alpha moves by shift = ||alpha - alpha_prev||_w
     (||a||_w^2 = sum_i w_i a_i^2), so by the triangle inequality and
@@ -377,21 +378,21 @@ class _CorrelationBounds:
         n = x.shape[0]
         self.x, self.norms = x, norms
         self.ub = np.full(norms.shape, np.inf)
-        self.alpha, self.alpha_norm = np.zeros((n, norms.shape[1])), np.zeros(norms.shape[1])
+        self.alpha, self.alpha_norm = np.zeros(n), 0.0
         self.gamma = 2 * (n + 4) * np.finfo(float).eps
         # this check's w o alpha, and the columns it multiplied
-        self.wa, self.exact = None, np.zeros(norms.shape[0], dtype=bool)
+        self.wa, self.exact = None, np.zeros(norms.shape, dtype=bool)
 
     def correlations(self, w: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
-        """Advance the bounds to the raw dual points alpha (n, T), multiply
-        every column whose bound reaches lam and return the bounds, exact
-        where multiplied.  A column it skips has ub_j < lam (1 - 4 eps), so
-        every correlation that reaches lam, and so decides the shrink, is
+        """Advance the bounds to the raw dual point alpha (n,), multiply every
+        column whose bound reaches lam and return the bounds, exact where
+        multiplied.  A column it skips has ub_j < lam (1 - 4 eps), so every
+        correlation that reaches lam, and so decides the shrink, is
         multiplied, and so is every column that could tie with the largest
         once shrunk."""
         eps = np.finfo(float).eps
-        shift = np.sqrt(np.vecdot(w, np.square(alpha - self.alpha), axis=0))
-        alpha_norm = np.sqrt(np.vecdot(w, np.square(alpha), axis=0))
+        shift = math.sqrt(np.vecdot(w, np.square(alpha - self.alpha)))
+        alpha_norm = math.sqrt(np.vecdot(w, np.square(alpha)))
         step = shift + self.gamma * (shift + self.alpha_norm + alpha_norm)
         self.ub = (self.ub + self.norms * step) * (1.0 + 4.0 * eps)
         self.alpha, self.alpha_norm, self.wa = alpha, alpha_norm, w * alpha
@@ -400,9 +401,9 @@ class _CorrelationBounds:
         return self.ub
 
     def refine(self, undecided: np.ndarray) -> np.ndarray:
-        """Multiply the columns of the (d, T) mask undecided that this check
+        """Multiply the columns of the mask undecided (d,) that this check
         has not multiplied yet; returns them."""
-        cols = _multiplied_columns(undecided & ~self.exact[:, None])
+        cols = _multiplied_columns(undecided & ~self.exact)
         self.ub[cols] = np.abs(_columns_times(self.x, cols, self.wa))
         self.exact[cols] = True
         return cols
@@ -491,7 +492,10 @@ def _support_polish(
     pattern minimizer with the lowest objective at w, among those finite and
     no higher than the warm start's, or the warm start where none is (as
     when |S| + 1 > n or a Hessian is singular).  Overflows are silent here:
-    an infinite or NaN gap certifies nothing, and _fit_column's start raises.
+    an infinite or NaN gap certifies nothing, and _fit_column's set-up
+    raises.  A one-vector fit at weights w (n,) polishes its point b (d,),
+    b0 as a one-column batch: _support_polish(_WeightColumns(dataset,
+    w[:, None], kind, lam, config), b[:, None], np.array([b0])).
     """
     kind, lam, w, y, x = problem.kind, problem.lam, problem.w, problem.y, problem.dataset.x
     n, batch = w.shape
@@ -563,9 +567,9 @@ def _support_polish(
 def _intercept_logistic(
     y: np.ndarray, t0: np.ndarray, w: np.ndarray, wy: np.ndarray, b0: float, target: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Guarded 1-D Newton for the intercept of one column: margins t0,
-    weights w and labels y (n, 1), wy = w * y, from the start b0 until the
-    gradient magnitude is at most target.
+    """Guarded 1-D Newton for the intercept of margins t0, weights w and
+    labels y (n,), wy = w * y, from the start b0 until the gradient
+    magnitude is at most target.
 
     Returns the intercept, the margins t0 + b0 at it and _sigmoid_neg(y *
     margins), which the last gradient evaluation computed.  The target is
@@ -578,16 +582,16 @@ def _intercept_logistic(
     # minus the gradient in b0 at b0 + step; u is t0 + b0.  With labels in
     # {-1, +1}, wy . s rounds exactly as w . (y * s).
     def slope_at(step: float) -> float:
-        return np.vecdot(wy, _sigmoid_neg(y * (u + step)), axis=0).item()
+        return np.vecdot(wy, _sigmoid_neg(y * (u + step)))
 
     stopped = False
     for steps in range(201):
         u = t0 + b0
         s = _sigmoid_neg(y * u)
-        slope = np.vecdot(wy, s, axis=0).item()
+        slope = np.vecdot(wy, s)
         if stopped or abs(slope) <= target or steps == 200:
             break
-        hess = np.vecdot(w, s * (1.0 - s), axis=0).item()
+        hess = np.vecdot(w, s * (1.0 - s))
         if hess > 1e-300:
             step = min(10.0, max(-10.0, slope / hess))
         else:
@@ -614,88 +618,58 @@ _OVERFLOW = ("the fit overflows: the squared features or the starting losses exc
 
 
 class _WeightColumns:
-    """The weighted problem at each column of weights w (n, T): the objective
-    and gap check that the support polish takes for all T columns at once
-    and _fit_column for its one column, whose start also sets the constants
-    of that one-column loop.  cols picks the columns an objective or a check
-    is for."""
+    """The weighted problem at weights w: at each column of w (n, T), as the
+    support polish takes it, or at one weight vector w (n,), as _fit_column
+    takes it.  Both shapes share its objective and gap check; cols picks the
+    columns of a batch they are for, and the default, all of them, is the
+    only choice at one vector."""
 
     def __init__(self, dataset: Dataset, w: np.ndarray, kind: LossKind, lam: float,
                  config: FitConfig):
-        n, batch = w.shape
+        n = dataset.n
         self.dataset, self.kind, self.lam, self.w = dataset, kind, lam, w
-        self.nu = nu_constant(kind)
         # y once per column: operands of one shape skip numpy's broadcasting set-up
-        self.y = np.repeat(dataset.y[:, None], batch, axis=1)
+        self.y = dataset.y if w.ndim == 1 else np.repeat(dataset.y[:, None], w.shape[1], axis=1)
         self.eq_tol = DEFAULT_EQ_PER_ROW * n
         self.eq_rounding = _EQ_ROUNDING_PER_ROW * (n + 1)
         if config.gap_tolerance is not None:
-            self.gap_tol = np.full(batch, config.gap_tolerance)
+            self.gap_tol = np.full(w.shape[1:], config.gap_tolerance)
         else:
+            columns = w.T if w.ndim == 2 else [w]
             with np.errstate(over="ignore"):  # an overflow fails the fit just below
-                self.gap_tol = np.array([DEFAULT_GAP_SCALE * objective_scale(dataset, w[:, k], kind)
-                                         for k in range(batch)])
+                scales = [objective_scale(dataset, w_k, kind) for w_k in columns]
+            self.gap_tol = DEFAULT_GAP_SCALE * np.reshape(scales, w.shape[1:])
             # an infinite tolerance would certify any gap, even an infinite one
             if not np.all(np.isfinite(self.gap_tol)):
                 raise ValueError(_OVERFLOW)
 
-    def intercept(self, t0: np.ndarray, b0: float) -> tuple[float, np.ndarray, np.ndarray | None]:
-        """The intercept of the one column's margins t0 (n, 1), the margins
-        t0 + b0 at it and, for the logistic loss, _sigmoid_neg(y * margins);
-        see _intercept_logistic."""
-        if self.kind is LossKind.SQUARED:
-            b0 = np.vecdot(self.w, self.y - t0, axis=0) / self.sw
-            return b0.item(), t0 + b0, None
-        return _intercept_logistic(self.y, t0, self.w, self.wy, b0, self.newton_target)
-
-    def losses(self, margins: np.ndarray, cols=slice(None)) -> np.ndarray:
+    def losses(self, margins: np.ndarray, cols=...) -> np.ndarray:
         return np.vecdot(self.w[:, cols], _loss(self.kind, self.y[:, cols], margins), axis=0)
 
-    def objective(self, margins: np.ndarray, b: np.ndarray, cols=slice(None)) -> np.ndarray:
+    def objective(self, margins: np.ndarray, b: np.ndarray, cols=...) -> np.ndarray:
         return self.losses(margins, cols) + self.lam * np.abs(b).sum(axis=0)
 
-    def start(self, b: np.ndarray, b0: float) -> tuple[np.ndarray, float, float]:
-        """The one-column loop's start from b (d, 1) and the intercept start
-        b0: the margins x @ b, the intercept and the objective there.  Sets
-        the intercept Newton's target, the step-size floor l_min and the
-        column norms; raises ValueError when the floor or objective overflows."""
-        dataset, w = self.dataset, self.w
-        self.sw, self.wy = w.sum(axis=0), w * self.y
-        self.newton_target = min(self.eq_tol, _EQ_NEWTON_FLOOR * self.sw.item())
-        t0 = _times_support(dataset.x, b)
-        b0 = self.intercept(t0, b0)[0]
-        with np.errstate(over="ignore"):  # an overflow fails the check below
-            obj = self.objective(t0 + b0, b).item()
-        # a fit at unit weights reads the sums cached on the dataset
-        w_sq_sums = dataset._x_sq_sums if np.all(w == 1.0) else _column_square_sums(dataset.x, w)
-        self.l_min = max(self.nu * w_sq_sums.max().item(), 1e-12)
-        # the Gap Safe rule's column norms: the weighted dual is 1/nu strongly
-        # concave in ||a||_w, so its optimum lies within sqrt(2 nu gap) of
-        # alpha in that norm
-        self.norms = np.sqrt(w_sq_sums)
-        if not (math.isfinite(self.l_min) and math.isfinite(obj)):
-            raise ValueError(_OVERFLOW)
-        return t0, b0, obj
+    def eq_bound(self, w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """The tolerance of the dual equality |sum_i w_i alpha_i| at the dual
+        point alpha: max(1e-10 n, 2 (n + 1) eps sum_i w_i |alpha_i|), the
+        larger term being the rounding the squared loss's dual shift leaves
+        behind (_EQ_ROUNDING_PER_ROW)."""
+        return np.maximum(self.eq_tol, self.eq_rounding * np.vecdot(w, np.abs(alpha), axis=0))
 
-    def check(self, xa: np.ndarray, margins: np.ndarray, obj, bounds, cols=slice(None)) -> tuple:
+    def check(self, xa: np.ndarray, margins: np.ndarray, obj, bounds=None, cols=...) -> tuple:
         """The gap check at the margins with objectives obj: the repaired dual
         point, its correlations and shrink on the columns xa of x
-        (_repair_from_margins), and per column the gap, the dual equality
-        residual and whether the check certifies: the gap is within its
-        tolerance and |sum_i w_i alpha_i| within max(1e-10 n, 2 (n + 1) eps
-        sum_i w_i |alpha_i|), the rounding the squared loss's dual shift
-        leaves behind (_EQ_ROUNDING_PER_ROW)."""
+        (_repair_from_margins, with the _CorrelationBounds bounds of a
+        one-vector fit), and the gap, the dual equality residual and whether
+        the check certifies, as floats and bools, or as lists of them per
+        column: the gap is within its tolerance and the residual within
+        eq_bound."""
         w, y = self.w[:, cols], self.y[:, cols]
         alpha, corr, shrink = _repair_from_margins(self.kind, y, xa, w, self.lam, margins, bounds)
-        dual = _dual_value(self.kind, y, w, alpha)
-        gap = np.maximum(0.0, np.subtract(obj, dual)).tolist()
-        eq_residual = np.abs(np.vecdot(w, alpha, axis=0)).tolist()
-        # the rounding term is computed only where 1e-10 n is not enough
-        certified = [g <= tol and (e <= self.eq_tol or e <= self.eq_rounding * float(
-                         w[:, k] @ np.abs(alpha[:, k])))
-                     for k, (g, tol, e) in enumerate(zip(gap, self.gap_tol[cols].tolist(),
-                                                         eq_residual))]
-        return alpha, corr, shrink, gap, eq_residual, certified
+        gap = np.maximum(0.0, np.subtract(obj, _dual_value(self.kind, y, w, alpha)))
+        eq_residual = np.abs(np.vecdot(w, alpha, axis=0))
+        certified = (gap <= self.gap_tol[cols]) & (eq_residual <= self.eq_bound(w, alpha))
+        return alpha, corr, shrink, gap.tolist(), eq_residual.tolist(), certified.tolist()
 
 
 def fit_weighted_erm(
@@ -748,13 +722,14 @@ def _fit_columns(
     iteration 1.  So a re-solve whose optimum's pattern the polish finds
     certifies at its first check, and with max_iterations = 1 the fit
     polishes and checks once.  The polish moves only the start: a fit still
-    returns only from a gap check on the full matrix.  At T = 1 these are
-    the float operations of a fit of that column alone; for T > 1 the
-    batched products of the polish may round differently in the last bits.
-    An overflowing default gap tolerance raises ValueError before any check,
-    and _fit_column's start raises it for an overflowing step-size floor or
-    start objective, so a warm column on such input certifies at a finite
-    gap in the polish or raises.
+    returns only from a gap check on the full matrix.  The batch ends at the
+    polish: a column _fit_column solves runs the float operations of a fit
+    of that column alone from the same start, whatever T, while the batched
+    products of the polish may round differently in the last bits for
+    T > 1.  An overflowing default gap tolerance raises ValueError before
+    any check, and _fit_column's set-up raises it for an overflowing
+    step-size floor or start objective, so a warm column on such input
+    certifies at a finite gap in the polish or raises.
     """
     if config is None:
         config = FitConfig()
@@ -765,7 +740,7 @@ def _fit_columns(
     _check_labels(kind, dataset.y)  # the fit calls the unchecked loss kernels
     if warm_start is None:
         return [_fit_column(dataset, np.ascontiguousarray(weights[:, k]), kind, lam, config,
-                            np.zeros((d, 1)), 0.0, 0)
+                            np.zeros(d), 0.0, 0)
                 for k in range(batch)]
     b_start = np.asarray(warm_start[0], dtype=float)
     if b_start.shape != (d,):
@@ -775,7 +750,7 @@ def _fit_columns(
                                   np.full(batch, float(warm_start[1])))
     return [fit if fit is not None
             else _fit_column(dataset, np.ascontiguousarray(weights[:, k]), kind, lam, config,
-                             b[:, k:k + 1], b0[k].item(), 1)
+                             b[:, k], b0[k], 1)
             for k, fit in enumerate(fits)]
 
 
@@ -790,15 +765,19 @@ def _fit_column(
     iterations: int,
 ) -> FittedModel | ConvergenceError:
     """Solve the weighted problem at one weight vector (n,) from coefficients
-    b (d, 1) and intercept start b0, at iteration `iterations`.
+    b (d,) and intercept start b0, at iteration `iterations`.
 
     Returns the FittedModel, or the ConvergenceError carrying the best
-    iterate.  Accelerated proximal gradient on (d, 1) coefficients, with
-    backtracking, momentum, adaptive restart and exact intercept
-    minimization, checks its gap at iterations, iterations + _CHECK_EVERY,
-    ... and at max_iterations: at 0, 5, ... from the zero model, and at 1, 6,
-    ... from a polished warm start.  It fails when the iterations run out or
-    its step search gives up (lip past 1e22 times its floor).
+    iterate.  Accelerated proximal gradient on b, with backtracking,
+    momentum, adaptive restart and exact intercept minimization (closed form
+    for the squared loss, _intercept_logistic for the logistic one), checks
+    its gap at iterations, iterations + _CHECK_EVERY, ... and at
+    max_iterations: at 0, 5, ... from the zero model, and at 1, 6, ... from
+    a polished warm start.  It fails when the iterations run out or its step
+    search gives up (lip past 1e22 times its floor).  Every array of the
+    loop is a vector, (n,) or (d,), and every scalar a float; its objective
+    and gap check are those the support polish takes for a batch
+    (_WeightColumns at weights (n,)).
 
     When x holds at least _GAP_SAFE_MIN_BYTES and has more than twice
     _WORKING_SET_LEAST columns, the fit runs on prioritized working sets
@@ -832,28 +811,49 @@ def _fit_column(
     """
     x = dataset.x
     n, d = x.shape
-    col = _WeightColumns(dataset, weights[:, None], kind, lam, config)
-    t0, b0, obj_curr = col.start(b, b0)
-    w, y, norms, nu, l_min = col.w, col.y, col.norms, col.nu, col.l_min
-    gap_tol = col.gap_tol.item()
+    w, nu = weights, nu_constant(kind)
+    col = _WeightColumns(dataset, w, kind, lam, config)
+    y, sw = col.y, w.sum()
+    wy, newton_target = w * y, min(col.eq_tol, _EQ_NEWTON_FLOOR * sw)
+
+    def intercept(t0: np.ndarray, b0: float) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """The intercept of the margins t0, the margins t0 + b0 at it and, for
+        the logistic loss, _sigmoid_neg(y * margins)."""
+        if kind is LossKind.SQUARED:
+            b0 = np.vecdot(w, y - t0) / sw
+            return b0, t0 + b0, None
+        return _intercept_logistic(y, t0, w, wy, b0, newton_target)
+
+    t0 = _times_support(x, b)
+    b0 = intercept(t0, b0)[0]
+    with np.errstate(over="ignore"):  # an overflow fails the test below
+        obj_curr = col.objective(t0 + b0, b)
+    # a fit at unit weights reads the sums cached on the dataset
+    w_sq_sums = dataset._x_sq_sums if np.all(w == 1.0) else _column_square_sums(x, w)
+    l_min = max(nu * w_sq_sums.max(), 1e-12)
+    if not (math.isfinite(l_min) and math.isfinite(obj_curr)):
+        raise ValueError(_OVERFLOW)
+    # the Gap Safe rule's column norms: the weighted dual is 1/nu strongly
+    # concave in ||a||_w, so its optimum lies within sqrt(2 nu gap) of alpha
+    # in that norm
+    norms = np.sqrt(w_sq_sums)
     lip, tk, first_check = l_min, 1.0, iterations
     v, t0_v = b, t0
     least = _WORKING_SET_LEAST  # doubles when a working set misses a feature
     screening = x.nbytes >= _GAP_SAFE_MIN_BYTES and 2 * least < d
     bounds = _CorrelationBounds(x, norms) if x.nbytes >= _GAP_SAFE_MIN_BYTES else None
-    # the working set: xa holds the columns cols of x, and the rows of b, v
-    # and the gradient are indexed like them; left is the working set the
+    # the working set: xa holds the columns cols of x, and the entries of b,
+    # v and the gradient are indexed like them; left is the working set the
     # last rejoin left, until the full check after it
     every = np.arange(d)
     cols, xa, left = every, x, None
     # the best iterate, from checks on the full matrix, and its dual
     # equality residual
-    best_gap, best_b0, best_eq = math.inf, 0.0, 0.0
-    best_b, best_alpha = np.zeros((d, 1)), np.zeros((n, 1))
+    best_gap, best_b, best_b0, best_alpha, best_eq = math.inf, np.zeros(d), 0.0, np.zeros(n), 0.0
 
     def model(b: np.ndarray, b0: float, alpha: np.ndarray, gap: float) -> FittedModel:
-        return FittedModel(b=b[:, 0].copy(), b0=b0, alpha=alpha[:, 0].copy(), lam=lam,
-                           weights=weights, gap=gap, loss_kind=kind, iterations=iterations)
+        return FittedModel(b=b.copy(), b0=b0, alpha=alpha, lam=lam, weights=w, gap=gap,
+                           loss_kind=kind, iterations=iterations)
 
     def failed(message: str) -> ConvergenceError:
         return ConvergenceError(message, model(best_b, best_b0, best_alpha, best_gap))
@@ -861,17 +861,17 @@ def _fit_column(
     while True:
         if ((iterations - first_check) % _CHECK_EVERY == 0
                 or iterations >= config.max_iterations):
-            alpha, corr, shrink, (gap,), (eq_residual,), (certified,) = col.check(
+            alpha, corr, shrink, gap, eq_residual, certified = col.check(
                 xa, t0 + b0, obj_curr, bounds if xa is x else None)
             out_of_iterations = iterations >= config.max_iterations
             if xa is not x:
                 if out_of_iterations or certified or gap <= _REJOIN_RATIO * best_gap:
                     # every feature rejoins, and the check runs again on the full matrix
-                    b_full, v_full = np.zeros((d, 1)), np.zeros((d, 1))
+                    b_full, v_full = np.zeros(d), np.zeros(d)
                     b_full[cols], v_full[cols] = b, v
                     b, v, xa, cols, left = b_full, v_full, x, every, cols
                     t0, t0_v = _times_support(x, b), _times_support(x, v)
-                    obj_curr = col.objective(t0 + b0, b).item()
+                    obj_curr = col.objective(t0 + b0, b)
                     continue
             else:
                 if gap < best_gap:
@@ -880,7 +880,7 @@ def _fit_column(
                     # a dual point shrunk for a feature outside the working set
                     # means the set missed it, and the momentum carried over
                     # from that reduced problem points the wrong way
-                    if shrink[0] < 1.0 and corr.argmax() not in left:
+                    if shrink < 1.0 and corr.argmax() not in left:
                         least *= 2
                         screening = screening and 2 * least < d
                         v, t0_v, tk = b, t0, 1.0
@@ -888,30 +888,28 @@ def _fit_column(
                 if certified:
                     return model(b, b0, alpha, gap)
                 if out_of_iterations:
+                    gap_tol = col.gap_tol
                     if not best_gap <= gap_tol:
                         return failed(f"gap {best_gap:.3e} > tolerance {gap_tol:.3e} "
                                       f"after {iterations} iterations")
-                    bound = max(col.eq_tol,
-                                col.eq_rounding * float(w[:, 0] @ np.abs(best_alpha[:, 0])))
                     return failed(f"dual equality residual {best_eq:.3e} > tolerance "
-                                  f"{bound:.3e} after {iterations} iterations (gap "
-                                  f"{best_gap:.3e} within tolerance {gap_tol:.3e})")
+                                  f"{col.eq_bound(w, best_alpha):.3e} after {iterations} "
+                                  f"iterations (gap {best_gap:.3e} within tolerance "
+                                  f"{gap_tol:.3e})")
                 if screening:
                     # every column the Gap Safe rule below may keep gets its
                     # computed correlation; the rest stay below lam on their bound
                     radius = math.sqrt(2.0 * nu * gap)
                     exact = bounds.refine(corr + norms * radius >= lam)
                     corr[exact] = bounds.ub[exact] * shrink
-                    safe = _gap_safe_survivors(cols, corr[:, 0], norms[:, 0], radius, lam,
-                                               b[:, 0], v[:, 0])
-                    kept = _prioritized(safe, corr[:, 0], norms[:, 0], lam, b[:, 0], v[:, 0],
-                                        least)
+                    safe = _gap_safe_survivors(cols, corr, norms, radius, lam, b, v)
+                    kept = _prioritized(safe, corr, norms, lam, b, v, least)
                     if 2 * kept.size <= d:
                         b, v, cols = b[kept], v[kept], kept
                         xa = x[:, cols]
 
-        b0_v, margins_v, sig_v = col.intercept(t0_v, b0)
-        f_v = col.losses(margins_v).item()
+        b0_v, margins_v, sig_v = intercept(t0_v, b0)
+        f_v = col.losses(margins_v)
         grad = xa.T @ (w * _derivative(kind, y, margins_v, sig_v))
 
         # the proximal gradient step from v at step size 1/lip, recomputed
@@ -921,9 +919,9 @@ def _fit_column(
             b_new = _soft_threshold(v - step * grad, lam * step)
             diff = b_new - v
             t0_new = _times_support(xa, b_new)
-            f_new = col.losses(t0_new + b0_v).item()
-            along = np.vecdot(grad, diff, axis=0).item()
-            sq = np.vecdot(diff, diff, axis=0).item()
+            f_new = col.losses(t0_new + b0_v)
+            along = np.vecdot(grad, diff)
+            sq = np.vecdot(diff, diff)
             if f_new <= f_v + along + 0.5 * lip * sq + 1e-12 * max(1.0, abs(f_v)):
                 break
             lip *= 2.0
@@ -935,8 +933,8 @@ def _fit_column(
         v = b_new + momentum * (b_new - b)
         t0_v = t0_new + momentum * (t0_new - t0)
         b, t0 = b_new, t0_new
-        b0, margins, _ = col.intercept(t0, b0_v)
-        obj_new = col.objective(margins, b).item()
+        b0, margins, _ = intercept(t0, b0_v)
+        obj_new = col.objective(margins, b)
         if obj_new > obj_curr:  # adaptive restart
             v, t0_v, t_next = b, t0, 1.0
         tk, obj_curr = t_next, obj_new

@@ -402,6 +402,8 @@ class TestLargeLabels:
     (["solve", "--lambda-ratio", "0"], "--lambda-ratio"),
     (["solve", "--lambda-absolute", "-1"], "--lambda-absolute"),
     (["verify", "--lambda-ratio", "1", "--self-test"], "--self-test"),
+    # an infinite tolerance would certify the all-zero model
+    (["solve", "--lambda-ratio", "0.1", "--gap-tol", "inf"], "gap_tolerance must be finite"),
 ])
 def test_invalid_configuration_exit_3(argv, message, reg_file, capsys):
     assert main([argv[0], reg_file, *argv[1:]]) == 3

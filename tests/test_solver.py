@@ -161,8 +161,39 @@ class TestFit:
             fit_weighted_erm(toy_1d, np.array([1.0, 0.0]), SQ, 1.0)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            FitConfig(gap_tolerance=-1.0)
+        # an infinite tolerance would certify any gap: on the gate's 40x15
+        # regression problem at lambda = 1, the zero model at gap 165.6
+        for tolerance in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gap_tolerance must be finite and > 0"):
+                FitConfig(gap_tolerance=tolerance)
+
+
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind,fixture", [(SQ, "reg40"), (LOG, "clf40")])
+@pytest.mark.parametrize("entry_point", [
+    "lambda_max", "objective_scale", "primal_objective", "dual_objective", "recover_dual",
+    "fit_weighted_erm", "fit_weighted_erm (n, T)",
+])
+def test_non_finite_weights_are_refused(entry_point, kind, fixture, entry, request):
+    """Every public entry that takes weights refuses a non-finite one by name,
+    rather than failing later through a NaN (lambda_max, recover_dual), an
+    infinite objective or an overflow blamed on the features (the fit)."""
+    ds = request.getfixturevalue(fixture)
+    w = np.ones(ds.n)
+    w[3] = entry
+    zeros = np.zeros(ds.d)
+    call = {
+        "lambda_max": lambda: lambda_max(ds, w, kind),
+        "objective_scale": lambda: objective_scale(ds, w, kind),
+        "primal_objective": lambda: primal_objective(ds, w, kind, 1.0, zeros, 0.0),
+        "dual_objective": lambda: dual_objective(ds, w, kind, np.zeros(ds.n)),
+        "recover_dual": lambda: recover_dual(ds, w, kind, 1.0, zeros, 0.0),
+        "fit_weighted_erm": lambda: fit_weighted_erm(ds, w, kind, 1.0),
+        "fit_weighted_erm (n, T)": lambda: fit_weighted_erm(ds, np.stack([w, w], axis=1), kind,
+                                                            1.0, FitConfig(gap_tolerance=1e-6)),
+    }[entry_point]
+    with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
+        call()
 
 
 _SATURATED_STARTS = [
@@ -178,19 +209,19 @@ _SATURATED_STARTS = [
 class TestInterceptNewton:
     @staticmethod
     def _solve(t0, w):
-        """The intercept of one column t0, w (2, 1), labels [1, -1]."""
-        y = np.array([[1.0], [-1.0]])
+        """The intercept of margins t0 and weights w (2,), labels [1, -1]."""
+        y = np.array([1.0, -1.0])
         target = min(DEFAULT_EQ_PER_ROW * 2, _EQ_NEWTON_FLOOR * w.sum())
         b0, margins, sig = _intercept_logistic(y, t0, w, w * y, 0.0, target)
         np.testing.assert_array_equal(margins, t0 + b0)
         np.testing.assert_array_equal(sig, _sigmoid_neg(y * margins))
-        grad = np.vecdot(w, y * sig, axis=0).item()
+        grad = np.vecdot(w, y * sig)
         assert abs(grad) <= target
         return b0, grad
 
     @pytest.mark.parametrize("t0,w,expected", _SATURATED_STARTS)
     def test_saturated_start_reaches_optimum(self, t0, w, expected):
-        b0, grad = self._solve(np.array(t0)[:, None], np.array(w)[:, None])
+        b0, grad = self._solve(np.array(t0), np.array(w))
         assert b0 == expected
         assert grad == 0.0
 
@@ -601,8 +632,8 @@ class TestLazyChecks:
         rng = np.random.default_rng(8)
         x = np.asfortranarray(rng.standard_normal((300, 23)))
         v = rng.standard_normal(300)
-        undecided = np.zeros((23, 2), dtype=bool)
-        undecided[[1, 9, 21], [0, 1, 0]] = True
+        undecided = np.zeros(23, dtype=bool)
+        undecided[[1, 9, 21]] = True
         cols = solver._multiplied_columns(undecided)
         np.testing.assert_array_equal(cols, [0, 1, 2, 3, 8, 9, 10, 11, 20, 21, 22])
         tracemalloc.start()
@@ -614,9 +645,6 @@ class TestLazyChecks:
         assert peak < x[:, :1].nbytes  # no column of x was copied
         np.testing.assert_array_equal(got, (x.T @ v)[cols])
         np.testing.assert_array_equal(solver._columns_times(x, cols[:0], v), np.empty(0))
-        batch = rng.standard_normal((300, 2))
-        np.testing.assert_allclose(solver._columns_times(x, cols, batch), (x.T @ batch)[cols],
-                                   rtol=1e-13, atol=1e-13)
 
     def test_large_fit_skips_columns(self):
         """A default fit on x over _GAP_SAFE_MIN_BYTES multiplies every column
@@ -795,6 +823,26 @@ class TestFitColumns:
                         np.testing.assert_array_equal(result.b, full.b)
                         assert result.iterations == full.iterations
 
+    @pytest.mark.parametrize("kind", [SQ, LOG])
+    @pytest.mark.parametrize("n,d", [(30, 12), (1100, 120)])
+    def test_uncertified_columns_ignore_their_batch(self, monkeypatch, kind, n, d):
+        """With the polish patched out, each of T = 3 warm columns runs its
+        loop as a fit of that column alone does, bit for bit, on x below and
+        above _GAP_SAFE_MIN_BYTES."""
+        ds = _random_problem(7, n, d, kind)
+        assert (ds.x.nbytes >= solver._GAP_SAFE_MIN_BYTES) == (n > 1000)
+        ones = np.ones(n)
+        lam = 0.2 * lambda_max(ds, ones, kind)
+        start = fit_weighted_erm(ds, ones, kind, lam)
+        warm = (start.b, start.b0)
+        weights = np.random.default_rng(8).uniform(0.7, 1.3, size=(n, 3))
+        without_polish(monkeypatch)
+        for k, model in enumerate(solver._fit_columns(ds, weights, kind, lam, None, warm)):
+            alone = fit_weighted_erm(ds, weights[:, k], kind, lam, warm_start=warm)
+            assert model.iterations > 1  # past the loop's first check
+            for part in ("b", "b0", "alpha", "gap", "iterations"):
+                np.testing.assert_array_equal(getattr(model, part), getattr(alone, part))
+
     def test_fit_weighted_erm_takes_weight_columns(self, reg40):
         """Weights (n, T) give _fit_columns' results as a ColumnFits that holds,
         not raises, a column's ConvergenceError and reports the most
@@ -923,19 +971,19 @@ def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     w = np.ones(ds.n)
     lam = 0.3 * lambda_max(ds, w, SQ)
     first = fit_weighted_erm(ds, w, SQ, lam)
-    assert calls == [(ds.n, 1)]
-    np.testing.assert_array_equal(ds._x_sq_sums, _column_square_sums(ds.x, np.ones((ds.n, 1))))
+    assert calls == [(ds.n,)]
+    np.testing.assert_array_equal(ds._x_sq_sums, _column_square_sums(ds.x, np.ones(ds.n)))
     again = fit_weighted_erm(ds, w, SQ, lam)
     assert len(calls) == 1
     np.testing.assert_array_equal(again.b, first.b)
     other = _random_problem(6, 30, 8, SQ)
     fit_weighted_erm(other, np.linspace(0.5, 1.5, other.n), SQ, lam)
-    assert calls[1:] == [(other.n, 1)]
+    assert calls[1:] == [(other.n,)]
     assert "_x_sq_sums" not in vars(other)
     fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam)
-    assert calls[2:] == [(other.n, 1)]  # the cache, once for both columns
+    assert calls[2:] == [(other.n,)]  # the cache, once for both columns
     np.testing.assert_array_equal(other._x_sq_sums,
-                                  _column_square_sums(other.x, np.ones((other.n, 1))))
+                                  _column_square_sums(other.x, np.ones(other.n)))
     warm = fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam, warm_start=(first.b, first.b0))
     assert [model.iterations for model in warm] == [1, 1]
     assert len(calls) == 3
@@ -1071,9 +1119,11 @@ class TestSupportPolish:
 
     @pytest.mark.parametrize("kind", [SQ, LOG])
     def test_check_on_large_input_equals_a_bounded_one(self, monkeypatch, kind):
-        """On x over _GAP_SAFE_MIN_BYTES the polish's dense check gives, bit for
-        bit, the dual point, correlations and shrink of a check with fresh
-        correlation bounds, which multiplies every column."""
+        """On x over _GAP_SAFE_MIN_BYTES, each column of the polish's dense
+        check, checked alone with fresh correlation bounds (which multiply
+        every column), gives bit for bit the dual point, correlations and
+        shrink of its dense one-vector check; the batched products of the
+        polish agree with both to rounding."""
         n, d = 1100, 120
         ds = _random_problem(5, n, d, kind)
         assert ds.x.nbytes >= solver._GAP_SAFE_MIN_BYTES
@@ -1086,11 +1136,14 @@ class TestSupportPolish:
         def comparing(kind_, y, x, w, lam_, margins, bounds=None):
             out = repair(kind_, y, x, w, lam_, margins, bounds)
             if bounds is None and x.shape == ds.x.shape:  # the polish's check
-                norms = np.sqrt(_column_square_sums(x, w))
-                bounded = repair(kind_, y, x, w, lam_, margins,
-                                 solver._CorrelationBounds(x, norms))
-                for got, want in zip(out, bounded, strict=True):
-                    np.testing.assert_array_equal(got, want)
+                for k in range(w.shape[1]):
+                    w_k = np.ascontiguousarray(w[:, k])
+                    column = (kind_, y[:, k], x, w_k, lam_, margins[:, k])
+                    norms = np.sqrt(_column_square_sums(x, w_k))
+                    bounded = repair(*column, solver._CorrelationBounds(x, norms))
+                    for got, dense, want in zip(out, repair(*column), bounded, strict=True):
+                        np.testing.assert_array_equal(dense, want)
+                        np.testing.assert_allclose(got[..., k], want, rtol=1e-12, atol=1e-12)
                 compared.append(w.shape[1])
             return out
 
