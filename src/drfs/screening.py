@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
-from .solver import FittedModel, _times_support, duality_gap
+from .solver import FittedModel, _checked_gap, _dual_value, _penalized, _times_support
 from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
@@ -157,31 +157,41 @@ def rho_vector(ref: ReferencePair) -> np.ndarray:
     return ref.losses_at_optimum + np.maximum(lo, hi)
 
 
-def _check_box(ref: ReferencePair, box: WeightBox, n: int) -> None:
-    if box.n != n:
-        raise ValueError(f"box is over {box.n} instances, dataset has {n}")
+def _check_inputs(ref: ReferencePair, box: WeightBox, dataset: Dataset) -> None:
+    """Refuse a box or a dataset the reference does not belong to: the box
+    must be over the dataset's n instances at the reference's delta, and the
+    dataset must have the n instances and d features of the reference fit."""
+    if box.n != dataset.n:
+        raise ValueError(f"box is over {box.n} instances, dataset has {dataset.n}")
     if box.delta != ref.delta:
-        raise ValueError(
-            f"reference was built for delta={ref.delta}, screening box has delta={box.delta}"
-        )
+        raise ValueError(f"reference was built for delta={ref.delta}, "
+                         f"screening box has delta={box.delta}")
+    if ref.alpha_star.shape + ref.b.shape != dataset.x.shape:
+        raise ValueError(f"reference was fit on {ref.alpha_star.size}x{ref.b.size} data, "
+                         f"dataset is {dataset.n}x{dataset.d}")
 
 
 def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBox) -> float:
     """Single-environment bound at a concrete weight vector.
 
     Uses the rescaled dual point q * alpha / w, whose feature correlations
-    are weight-independent, and the duality gap actually attained at w.
-    Always dominated by the screen() bound over the box.
+    are weight-independent, and the duality gap actually attained at w: the
+    primal objective from the reference's losses (ref.losses_at_optimum)
+    and the dual one at q * alpha / w, clamped as duality_gap clamps.
+    Dominated by the screen() bound over the box in exact arithmetic; in
+    floating point it can lie above it by rounding (at delta = 0, by 9.4e-9
+    on the bound at w = 1).
     """
     if not 0 <= j < dataset.d:
         raise IndexError(f"feature index {j} out of range for d={dataset.d}")
-    _check_box(ref, box, dataset.n)
+    _check_inputs(ref, box, dataset)
     w = np.asarray(w, dtype=float)
     if not contains(box, w):
         raise ValueError("weight vector is not in the box")
     alpha_hat = _into_domain(ref.loss_kind, ref.y, ref.q * ref.alpha_star / w,
                              "rescaled dual point")
-    gap = duality_gap(dataset, w, ref.loss_kind, ref.lam, ref.b, ref.b0, alpha_hat)
+    primal = _penalized(w, ref.losses_at_optimum, ref.lam, ref.b)
+    gap = _checked_gap(primal, _dual_value(ref.loss_kind, ref.y, w, alpha_hat))
     col = dataset.x[:, j]
     first = abs(float(np.dot(w * alpha_hat, col)))
     norm_sq = float(np.dot(w, col * col))
@@ -205,9 +215,7 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
     what realizes "all features removed at lambda_max" despite the exact
     floating-point tie at the argmax feature.
     """
-    _check_box(ref, box, dataset.n)
-    if ref.alpha_star.shape != (dataset.n,):
-        raise ValueError("reference and dataset disagree on the number of instances")
+    _check_inputs(ref, box, dataset)
     nu = nu_constant(ref.loss_kind)
     lam = ref.lam
     first = ref.q * np.abs(dataset.x.T @ ref.alpha_star)

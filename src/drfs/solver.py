@@ -195,7 +195,7 @@ def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b
     if b.shape != (dataset.d,):
         raise ValueError(f"b must have length {dataset.d}, got shape {b.shape}")
     margins = _times_support(dataset.x, b) + b0
-    return float(np.dot(w, loss_value(kind, dataset.y, margins)) + lam * np.sum(np.abs(b)))
+    return float(_penalized(w, loss_value(kind, dataset.y, margins), lam, b))
 
 
 def dual_objective(dataset: Dataset, weights, kind: LossKind, alpha) -> float:
@@ -219,18 +219,38 @@ def _dual_value(kind: LossKind, y: np.ndarray, w: np.ndarray, alpha: np.ndarray)
     return -np.vecdot(w, vals, axis=0)
 
 
+def _penalized(w: np.ndarray, losses: np.ndarray, lam: float, b: np.ndarray):
+    """sum_i w_i losses_i + lam ||b||_1, the primal objective from the losses
+    at each instance: for 1-D w, losses and b, or for each column of w and
+    losses (n, T) and b (d, T)."""
+    return np.vecdot(w, losses, axis=0) + lam * np.abs(b).sum(axis=0)
+
+
+def _clamped_gap(primal, dual):
+    """primal minus dual, clamped at zero against floating-point noise: a
+    float, or one per column of a batch."""
+    return np.maximum(0.0, np.subtract(primal, dual))
+
+
+def _checked_gap(primal, dual) -> float:
+    """The clamped gap of one weight vector, refusing a dual objective of a
+    point outside the conjugate domain (-inf) or one past the primal by more
+    than 1e-12 of the larger of 1, |primal| and |dual|, which breaks weak
+    duality: the gap of duality_gap and of screening.ub_for_weight."""
+    if dual == float("-inf"):
+        raise DomainError("alpha outside the conjugate domain")
+    gap = primal - dual
+    if gap < -1e-12 * max(1.0, abs(primal), abs(dual)):
+        raise DomainError(f"weak duality violated (gap={gap}); alpha is not dual feasible")
+    return float(_clamped_gap(primal, dual))
+
+
 def duality_gap(
     dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float, alpha
 ) -> float:
     """Primal minus dual; clamped at zero against floating-point noise."""
     p = primal_objective(dataset, weights, kind, lam, b, b0)
-    d = dual_objective(dataset, weights, kind, alpha)
-    if d == float("-inf"):
-        raise DomainError("alpha outside the conjugate domain")
-    gap = p - d
-    if gap < -1e-12 * max(1.0, abs(p), abs(d)):
-        raise DomainError(f"weak duality violated (gap={gap}); alpha is not dual feasible")
-    return max(0.0, gap)
+    return _checked_gap(p, dual_objective(dataset, weights, kind, alpha))
 
 
 def _repair_from_margins(
@@ -622,7 +642,8 @@ class _WeightColumns:
     support polish takes it, or at one weight vector w (n,), as _fit_column
     takes it.  Both shapes share its objective and gap check; cols picks the
     columns of a batch they are for, and the default, all of them, is the
-    only choice at one vector."""
+    only choice at one vector.  The weighted loss without the penalty,
+    losses, serves the one-vector loop alone."""
 
     def __init__(self, dataset: Dataset, w: np.ndarray, kind: LossKind, lam: float,
                  config: FitConfig):
@@ -643,11 +664,11 @@ class _WeightColumns:
             if not np.all(np.isfinite(self.gap_tol)):
                 raise ValueError(_OVERFLOW)
 
-    def losses(self, margins: np.ndarray, cols=...) -> np.ndarray:
-        return np.vecdot(self.w[:, cols], _loss(self.kind, self.y[:, cols], margins), axis=0)
+    def losses(self, margins: np.ndarray) -> float:
+        return np.vecdot(self.w, _loss(self.kind, self.y, margins))
 
     def objective(self, margins: np.ndarray, b: np.ndarray, cols=...) -> np.ndarray:
-        return self.losses(margins, cols) + self.lam * np.abs(b).sum(axis=0)
+        return _penalized(self.w[:, cols], _loss(self.kind, self.y[:, cols], margins), self.lam, b)
 
     def eq_bound(self, w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """The tolerance of the dual equality |sum_i w_i alpha_i| at the dual
@@ -666,7 +687,7 @@ class _WeightColumns:
         eq_bound."""
         w, y = self.w[:, cols], self.y[:, cols]
         alpha, corr, shrink = _repair_from_margins(self.kind, y, xa, w, self.lam, margins, bounds)
-        gap = np.maximum(0.0, np.subtract(obj, _dual_value(self.kind, y, w, alpha)))
+        gap = _clamped_gap(obj, _dual_value(self.kind, y, w, alpha))
         eq_residual = np.abs(np.vecdot(w, alpha, axis=0))
         certified = (gap <= self.gap_tol[cols]) & (eq_residual <= self.eq_bound(w, alpha))
         return alpha, corr, shrink, gap.tolist(), eq_residual.tolist(), certified.tolist()
@@ -685,73 +706,59 @@ def fit_weighted_erm(
     Deterministic for fixed inputs.  Weights of shape (n,) give a
     FittedModel, or raise ConvergenceError carrying the best iterate when
     max_iterations runs out first.  Weights of shape (n, T) are the
-    verifier's batched form: the T columns share one support polish, whose
-    gap checks they take together, and give a ColumnFits, which holds rather
-    than raises a column's ConvergenceError.  A warm_start (b, b0) is first
-    polished to the optimum on its sign pattern at the given weights, or on
-    a pattern corrected where the weights move it, and gap-checked there,
-    which counts as iteration 1.  _fit_columns and _fit_column document the
-    algorithm.
+    verifier's batched form: they give a ColumnFits, which holds rather than
+    raises a column's ConvergenceError.
+
+    A cold fit runs _fit_column on each weight column from the zero model.
+    A warm_start (b, b0) is polished for all columns at once
+    (_support_polish): each moves to the optimum on the warm start's sign
+    pattern at its weights, or on a pattern corrected where the weights move
+    it, and the columns of a pattern take one gap check there together,
+    which counts as iteration 1.  A column one of those checks certifies
+    returns with iterations = 1, and _fit_column solves each other column
+    alone from its polished start, checking again at iteration 1.  So a
+    re-solve whose optimum's pattern the polish finds certifies at its first
+    check, and with max_iterations = 1 the fit polishes and checks once.
+    The polish moves only the start: a fit still returns only from a gap
+    check on the full matrix.  The batch ends at the polish: a column
+    _fit_column solves runs the float operations of a fit of that column
+    alone from the same start, whatever T, while the batched products of
+    the polish may round differently in the last bits for T > 1.  An
+    overflowing default gap tolerance raises ValueError before any check,
+    and _fit_column's set-up raises it for an overflowing step-size floor or
+    start objective, so a warm column on such input certifies at a finite
+    gap in the polish or raises.
     """
     # an (n, T) matrix keeps its T; any other shape but (n,) is refused
     w = _check_weights(weights, (dataset.n,) + np.shape(weights)[1:2])
-    if w.ndim == 2:
-        return ColumnFits(_fit_columns(dataset, w, kind, lam, config, warm_start))
-    (result,) = _fit_columns(dataset, w[:, None], kind, lam, config, warm_start)
-    if isinstance(result, ConvergenceError):
-        raise result
-    return result
-
-
-def _fit_columns(
-    dataset: Dataset,
-    weights: np.ndarray,
-    kind: LossKind,
-    lam: float,
-    config: FitConfig | None = None,
-    warm_start: tuple[np.ndarray, float] | None = None,
-) -> list[FittedModel | ConvergenceError]:
-    """Solve the weighted problem for each column of weights (n, T).
-
-    Returns, per column, its FittedModel or the ConvergenceError carrying its
-    best iterate.  A cold fit runs _fit_column on each column from the zero
-    model.  A warm start is polished for all columns at once
-    (_support_polish), which counts as iteration 1: a column one of its gap
-    checks certifies returns with iterations = 1, and _fit_column solves
-    each other column alone from its polished start, checking again at
-    iteration 1.  So a re-solve whose optimum's pattern the polish finds
-    certifies at its first check, and with max_iterations = 1 the fit
-    polishes and checks once.  The polish moves only the start: a fit still
-    returns only from a gap check on the full matrix.  The batch ends at the
-    polish: a column _fit_column solves runs the float operations of a fit
-    of that column alone from the same start, whatever T, while the batched
-    products of the polish may round differently in the last bits for
-    T > 1.  An overflowing default gap tolerance raises ValueError before
-    any check, and _fit_column's set-up raises it for an overflowing
-    step-size floor or start objective, so a warm column on such input
-    certifies at a finite gap in the polish or raises.
-    """
     if config is None:
         config = FitConfig()
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
-    d = dataset.d
-    batch = weights.shape[1]
     _check_labels(kind, dataset.y)  # the fit calls the unchecked loss kernels
+    columns = w if w.ndim == 2 else w[:, None]
+    batch = columns.shape[1]
     if warm_start is None:
-        return [_fit_column(dataset, np.ascontiguousarray(weights[:, k]), kind, lam, config,
-                            np.zeros(d), 0.0, 0)
+        fits = [_fit_column(dataset, np.ascontiguousarray(columns[:, k]), kind, lam, config,
+                            np.zeros(dataset.d), 0.0, 0)
                 for k in range(batch)]
-    b_start = np.asarray(warm_start[0], dtype=float)
-    if b_start.shape != (d,):
-        raise ValueError(f"warm start b must have length {d}")
-    problem = _WeightColumns(dataset, weights, kind, lam, config)
-    fits, b, b0 = _support_polish(problem, np.repeat(b_start[:, None], batch, axis=1),
-                                  np.full(batch, float(warm_start[1])))
-    return [fit if fit is not None
-            else _fit_column(dataset, np.ascontiguousarray(weights[:, k]), kind, lam, config,
-                             b[:, k], b0[k], 1)
-            for k, fit in enumerate(fits)]
+    else:
+        b_start = np.asarray(warm_start[0], dtype=float)
+        if b_start.shape != (dataset.d,):
+            raise ValueError(f"warm start b must have length {dataset.d}")
+        problem = _WeightColumns(dataset, columns, kind, lam, config)
+        polished, b, b0 = _support_polish(problem, np.repeat(b_start[:, None], batch, axis=1),
+                                          np.full(batch, float(warm_start[1])))
+        fits = [fit if fit is not None
+                else _fit_column(dataset, np.ascontiguousarray(columns[:, k]), kind, lam, config,
+                                 b[:, k], b0[k], 1)
+                for k, fit in enumerate(polished)]
+    if w.ndim == 2:
+        return ColumnFits(fits)
+    (result,) = fits
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
 
 
 def _fit_column(

@@ -116,10 +116,10 @@ def _squared_half_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _column_square_sums(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i w_i x_ij^2 for a weight vector w, or each column of w (n, T),
-    one column block of x at a time so no full x*x copy is made; a single
-    block gives exactly (x*x).T @ w."""
-    sums = np.empty(x.shape[1:] + w.shape[1:])
+    """sum_i w_i x_ij^2 for a weight vector w (n,), one column block of x at
+    a time so no full x*x copy is made; a single block gives exactly
+    (x*x).T @ w."""
+    sums = np.empty(x.shape[1])
     for cols in _column_blocks(x):
         with np.errstate(over="ignore"):  # the fit checks the sums are finite
             sums[cols] = np.square(x[:, cols]).T @ w

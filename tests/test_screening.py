@@ -242,6 +242,13 @@ class TestUbForWeight:
             ub_for_weight(0, np.ones(reg40.n + 1), ref, reg40, wider)
         with pytest.raises(ValueError, match=message):
             screen(reg40, ref, wider)
+        # a dataset with the reference's n but fewer features than its fit
+        narrower = Dataset(x=reg40.x[:, :10], y=reg40.y, task=reg40.task)
+        message = "^reference was fit on 40x15 data, dataset is 40x10$"
+        with pytest.raises(ValueError, match=message):
+            ub_for_weight(0, w, ref, narrower, box)
+        with pytest.raises(ValueError, match=message):
+            screen(narrower, ref, box)
 
     def test_rejects_logistic_dual_outside_domain(self, clf40):
         """A dual point with y * alpha past 1 has no conjugate: both bounds
@@ -351,7 +358,8 @@ class TestDrawnProblems:
         """Criterion 3 on random problems: at sampled corners and interior
         points, ub_for_weight stays within the screen() bound, up to the
         rounding of the two gaps (screen's rounds like the gap at w) and of
-        the correlation terms, 2 (n + d) eps sum_i |q alpha_i x_ij| each."""
+        the correlation terms, 2 (n + d) eps sum_i |q alpha_i x_ij| each.
+        ub_for_weight is, bit for bit, its formula with duality_gap's gap."""
         dataset, lam, _, box, ref, report = _drawn_screen(seed, kind, n, d, ratio, delta)
         nu = nu_constant(kind)
         gamma = 2 * (n + d) * np.finfo(float).eps
@@ -359,12 +367,16 @@ class TestDrawnProblems:
         for k in range(6):
             w = sample_feasible(box, rng, "corner" if k % 2 else "interior")
             alpha_hat = ref.q * ref.alpha_star / w
+            gap = duality_gap(dataset, w, kind, lam, ref.b, ref.b0, alpha_hat)
             err = 2 * _gap_rounding(dataset, w, kind, lam, ref.b, ref.b0, alpha_hat)
             for j in range(d):
                 col = dataset.x[:, j]
+                ub = ub_for_weight(j, w, ref, dataset, box)
+                assert ub == (abs(float(np.dot(w * alpha_hat, col)))
+                              + math.sqrt(float(np.dot(w, col * col)) * (2.0 * nu) * gap))
                 rounding = (math.sqrt(float(np.dot(w, col * col)) * 2.0 * nu * err)
                             + 2 * gamma * float(np.abs(ref.q * ref.alpha_star) @ np.abs(col)))
-                assert ub_for_weight(j, w, ref, dataset, box) <= report.bounds[j] + rounding
+                assert ub <= report.bounds[j] + rounding
 
     @settings(max_examples=30, deadline=None)
     @given(**_DRAWN)

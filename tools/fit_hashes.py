@@ -21,6 +21,9 @@ bounds of the 40x15 problems' uniform fits at lambda in {0.1, 0.3} *
 lambda_max, one line per V in {0, 0.01, 0.1, 1}.  A change to the bound's
 formula shows there as the shifts whose lines moved; at V = 0 every weight
 is 1, so the line moves only when the uniform fits or the no-shift bound do.
+The `ub` line hashes the bytes of the per-weight bound ub_for_weight of
+every feature at 50 weight vectors per configuration of those problems and
+V (corner and interior draws in turn, seed 5).
 
 The `large` line covers inputs over the solver's 1 MiB threshold, whose
 fits may round differently in the last bits between trees, so it hashes
@@ -79,6 +82,7 @@ from drfs import (  # noqa: E402
     screen,
     standardize,
     synth,
+    ub_for_weight,
     verify_no_false_elimination,
 )
 from drfs.oracle import RESOLVE_GAP_SCALE, RESOLVE_MAX_ITERATIONS  # noqa: E402
@@ -161,6 +165,23 @@ def bounds_outcomes():
     return bounds
 
 
+def ub_outcomes():
+    """Per configuration of bounds_outcomes, ub_for_weight of every feature
+    at 50 sampled weight vectors, corner and interior in turn."""
+    for _, dataset, kind in PROBLEMS[:2]:
+        w1 = np.ones(dataset.n)
+        lam_max = lambda_max(dataset, w1, kind)
+        for ratio in (0.1, 0.3):
+            model = fit_weighted_erm(dataset, w1, kind, ratio * lam_max)
+            for v in BOUNDS_V:
+                box = WeightBox(dataset.n, delta_from_v(v, dataset.n))
+                ref = build_reference(dataset, model, box)
+                rng = np.random.default_rng(5)
+                for k in range(50):
+                    w = sample_feasible(box, rng, "interior" if k % 2 else "corner")
+                    yield [ub_for_weight(j, w, ref, dataset, box) for j in range(dataset.d)]
+
+
 def large_outcomes(fitted):
     """The support of each LARGE fit, then the removed mask of each screen;
     each fit is appended to fitted."""
@@ -232,6 +253,10 @@ def main() -> None:
         for part in parts:
             digest.update(np.asarray(part, dtype=float).tobytes())
         print("bounds", v, digest.hexdigest()[:16])
+    digest = hashlib.sha256()
+    for part in ub_outcomes():
+        digest.update(np.asarray(part, dtype=float).tobytes())
+    print("ub", digest.hexdigest())
     fitted = []
     for name, outcomes in (("large", large_outcomes), ("batch", batch_outcomes),
                            ("wide", wide_outcomes)):
