@@ -4,9 +4,10 @@ Objective: sum_i w_i loss(y_i, x_i.b + b0) + lambda ||b||_1, intercept
 unpenalized, no 1/n factor anywhere (the screening constants assume this
 exact scaling).  The algorithm is accelerated proximal gradient on b with
 backtracking, alternated with exact intercept minimization (closed form for
-the squared loss, guarded 1-D Newton for the logistic loss).  Convergence
-is certified by recovering a feasible dual point and evaluating the gap,
-which is also what makes the result usable for screening.
+the squared loss, guarded 1-D Newton for the logistic loss), finished by
+Newton steps on the sign pattern of b once two gap checks agree on it.
+Convergence is certified by recovering a feasible dual point and evaluating
+the gap, which is also what makes the result usable for screening.
 """
 
 from __future__ import annotations
@@ -447,15 +448,29 @@ _POLISH_NEWTON_STEPS = 8
 # V = 1) and none a third; from the first pattern alone those re-solves
 # took 26-41 iterations.
 _POLISH_ROUNDS = 4
+# A one-vector fit adopts its pattern minimizer (_pattern_finish) when the
+# minimizer's objective is at most this much, relative, above the iterate's:
+# a stalled iterate can sit 1 ulp below the objective of the optimum on its
+# own pattern (a 12x30 squared draw stalled at a gap of 2.4e-8 with its
+# objective 1 ulp under the pattern optimum's, whose gap was 1.4e-14).
+_FINISH_SLACK = 16 * np.finfo(float).eps
 
 
 def _pattern_newton(
-    kind: LossKind, a: np.ndarray, y: np.ndarray, w: np.ndarray, penalty: np.ndarray,
-    theta: np.ndarray,
+    kind: LossKind, x: np.ndarray, support: np.ndarray, signs: np.ndarray, lam: float,
+    y: np.ndarray, w: np.ndarray, theta: np.ndarray,
 ) -> np.ndarray:
-    """The minimizer over theta (k, T) of sum_i w_i loss(y_i, a_i . theta) +
-    penalty . theta, by Newton steps from theta; NaN where a Hessian is
-    singular.  y and w are (n, T); every column shares a = [x_S, 1]."""
+    """The minimizer over theta (k, T) = (b_S, b0) of sum_i w_i loss(y_i,
+    a_i . theta) + lam s . b_S on the support S with signs s, by Newton
+    steps from theta; NaN where a Hessian is singular, as it is whenever
+    |S| + 1 > n.  y and w are (n, T); every column shares A = [x_S, 1]."""
+    n = x.shape[0]
+    if support.size + 1 > n:
+        return np.full(theta.shape, np.nan)
+    a = np.empty((n, support.size + 1))
+    a[:, :-1] = x[:, support]
+    a[:, -1] = 1.0
+    penalty = lam * np.append(signs, 0.0)[:, None]
     theta = theta.copy()
     live = np.arange(theta.shape[1])
     for _ in range(1 if kind is LossKind.SQUARED else _POLISH_NEWTON_STEPS):
@@ -479,6 +494,27 @@ def _pattern_newton(
         if not live.size:
             break
     return theta
+
+
+def _pattern_finish(col: _WeightColumns, b: np.ndarray, b0: float, obj: float) -> tuple | None:
+    """The minimizer over (b_S, b0) on the sign pattern of a one-vector
+    fit's point b (d,), b0 at col's weights (_pattern_newton from that
+    point), with x @ b at it and its objective, where that objective is at
+    most _FINISH_SLACK above the point's objective obj; otherwise None (a
+    NaN minimizer's objective is NaN)."""
+    x = col.dataset.x
+    support = np.flatnonzero(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = _pattern_newton(col.kind, x, support, np.sign(b[support]), col.lam,
+                                col.y[:, None], col.w[:, None],
+                                np.append(b[support], b0)[:, None])[:, 0]
+        b_s = np.zeros(b.size)
+        b_s[support] = theta[:-1]
+        t0 = _times_support(x, b_s)
+        obj_s = col.objective(t0 + theta[-1], b_s)
+    if not obj_s <= obj + _FINISH_SLACK * abs(obj):
+        return None
+    return b_s, theta[-1].item(), t0, obj_s
 
 
 def _support_polish(
@@ -513,12 +549,10 @@ def _support_polish(
     no higher than the warm start's, or the warm start where none is (as
     when |S| + 1 > n or a Hessian is singular).  Overflows are silent here:
     an infinite or NaN gap certifies nothing, and _fit_column's set-up
-    raises.  A one-vector fit at weights w (n,) polishes its point b (d,),
-    b0 as a one-column batch: _support_polish(_WeightColumns(dataset,
-    w[:, None], kind, lam, config), b[:, None], np.array([b0])).
+    raises.
     """
     kind, lam, w, y, x = problem.kind, problem.lam, problem.w, problem.y, problem.dataset.x
-    n, batch = w.shape
+    batch = w.shape[1]
     signs = np.sign(b)
     b, b0 = b.copy(), b0.copy()
     best_b, best_b0 = b.copy(), b0.copy()
@@ -534,13 +568,8 @@ def _support_polish(
             for members in groups.values():
                 cols = np.array(members)
                 support = np.flatnonzero(signs[:, cols[0]])
-                if support.size + 1 > n:
-                    continue
-                a = np.empty((n, support.size + 1))
-                a[:, :-1] = x[:, support]
-                a[:, -1] = 1.0
-                penalty = lam * np.append(signs[support, cols[0]], 0.0)[:, None]
-                theta = _pattern_newton(kind, a, y[:, cols], w[:, cols], penalty,
+                theta = _pattern_newton(kind, x, support, signs[support, cols[0]], lam,
+                                        y[:, cols], w[:, cols],
                                         np.vstack([b[np.ix_(support, cols)], b0[cols]]))
                 finite = np.isfinite(theta).all(axis=0)
                 cols, theta = cols[finite], theta[:, finite]
@@ -719,6 +748,9 @@ def fit_weighted_erm(
     alone from its polished start, checking again at iteration 1.  So a
     re-solve whose optimum's pattern the polish finds certifies at its first
     check, and with max_iterations = 1 the fit polishes and checks once.
+    Cold or warm, _fit_column finishes on its support: once two full-matrix
+    checks in a row find one sign pattern, it moves to the minimizer on that
+    pattern and checks it at the same iteration.
     The polish moves only the start: a fit still returns only from a gap
     check on the full matrix.  The batch ends at the polish: a column
     _fit_column solves runs the float operations of a fit of that column
@@ -785,6 +817,17 @@ def _fit_column(
     loop is a vector, (n,) or (d,), and every scalar a float; its objective
     and gap check are those the support polish takes for a batch
     (_WeightColumns at weights (n,)).
+
+    Cold fits, too, finish on their support (Wen, Yin, Goldfarb & Zhang,
+    SIAM J. Sci. Comput. 2010): the iterates find the optimum's sign pattern
+    long before the gap certifies, and then crawl.  When a full-matrix check
+    does not certify and finds the sign pattern of b that the previous
+    full-matrix check found, _pattern_finish solves for the minimizer over
+    (b_S, b0) on that pattern by the support polish's Newton steps.  Where
+    its objective is at most _FINISH_SLACK above the iterate's, it takes the
+    iterate's place, the momentum restarts and the same check runs again on
+    it, at the same iteration count and with the same correlation bounds.
+    Each pattern is finished at most once per fit.
 
     When x holds at least _GAP_SAFE_MIN_BYTES and has more than twice
     _WORKING_SET_LEAST columns, the fit runs on prioritized working sets
@@ -857,6 +900,8 @@ def _fit_column(
     # the best iterate, from checks on the full matrix, and its dual
     # equality residual
     best_gap, best_b, best_b0, best_alpha, best_eq = math.inf, np.zeros(d), 0.0, np.zeros(n), 0.0
+    # the sign pattern of the last full check, and the patterns finished
+    pattern, finished = None, set()
 
     def model(b: np.ndarray, b0: float, alpha: np.ndarray, gap: float) -> FittedModel:
         return FittedModel(b=b.copy(), b0=b0, alpha=alpha, lam=lam, weights=w, gap=gap,
@@ -894,6 +939,17 @@ def _fit_column(
                     left = None
                 if certified:
                     return model(b, b0, alpha, gap)
+                # two full checks in a row on one sign pattern: the pattern's
+                # minimizer takes the iterate's place, once per pattern, and
+                # this check runs again on it
+                pattern_prev, pattern = pattern, np.sign(b).tobytes()
+                if pattern == pattern_prev and pattern not in finished:
+                    finished.add(pattern)
+                    finish = _pattern_finish(col, b, b0, obj_curr)
+                    if finish is not None:
+                        b, b0, t0, obj_curr = finish
+                        v, t0_v, tk = b, t0, 1.0
+                        continue
                 if out_of_iterations:
                     gap_tol = col.gap_tol
                     if not best_gap <= gap_tol:

@@ -58,6 +58,14 @@ def without_polish(monkeypatch):
                         lambda problem, b, b0: ([None] * b.shape[1], b, b0))
 
 
+def without_finish(monkeypatch):
+    """Patch the pattern finish out: a one-vector fit keeps its iterate at
+    every check and only the proximal gradient iterations move it."""
+    from drfs import solver
+
+    monkeypatch.setattr(solver, "_pattern_finish", lambda col, b, b0, obj: None)
+
+
 def screen_setup(dataset, kind, lambda_ratio, v, **config_kwargs):
     """Fit at w=1, build the reference, and screen; returns all pieces."""
     lam = lambda_ratio * lambda_max(dataset, np.ones(dataset.n), kind)

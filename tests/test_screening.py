@@ -403,6 +403,32 @@ class TestDrawnProblems:
             assert distance <= math.sqrt(2.0 * nu * gap) + math.sqrt(2.0 * nu * resolved_gap)
 
 
+class TestNoShiftReduction:
+    """Acceptance criterion 6's check on reorderings of the gate's problems."""
+
+    @pytest.mark.parametrize("fixture,kind,tag", [("reg40", SQ, 7), ("clf40", LOG, 11)])
+    def test_holds_on_permuted_gate_problems(self, request, fixture, kind, tag):
+        """At a 1e-10 reference gap and delta = 0, the removed set equals the
+        plain correlation rule at the reference dual, on 40 row and column
+        permutations of each gate problem: default_rng((seed, tag)) for seeds
+        1-40, tag being the problem's synth seed."""
+        base = request.getfixturevalue(fixture)
+        failed = []
+        for seed in range(1, 41):
+            rng = np.random.default_rng((seed, tag))
+            rows, cols = rng.permutation(base.n), rng.permutation(base.d)
+            ds = Dataset(x=base.x[np.ix_(rows, cols)], y=base.y[rows], task=base.task)
+            w = np.ones(ds.n)
+            lam = 0.3 * lambda_max(ds, w, kind)
+            model = fit_weighted_erm(ds, w, kind, lam, FitConfig(gap_tolerance=1e-10))
+            box = WeightBox(ds.n, 0.0)
+            report = screen(ds, build_reference(ds, model, box), box)
+            expected = np.abs(ds.x.T @ model.alpha) < lam * (1 - 1e-12)
+            if not (model.gap <= 1e-10 and np.array_equal(report.removed, expected)):
+                failed.append(seed)
+        assert failed == []
+
+
 class TestScreen:
     def test_slightly_above_lambda_max_removes_all(self, toy_1d):
         lam = 4.0 * 1.000001

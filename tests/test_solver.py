@@ -35,7 +35,7 @@ from drfs.solver import (
 )
 from drfs import uncertainty
 from drfs.uncertainty import COLUMN_BLOCK_BYTES
-from conftest import screen_setup, without_polish
+from conftest import screen_setup, without_finish, without_polish
 
 SQ = LossKind.SQUARED
 LOG = LossKind.LOGISTIC
@@ -444,6 +444,7 @@ class TestGapSafeWorkingSet:
         calls: list = []
         widths: list = []
         multiplied: list = []
+        without_finish(monkeypatch)
         _working_sets(monkeypatch, 2)
         _record_rule(monkeypatch, calls)
         _record_checks(monkeypatch, widths, multiplied)
@@ -532,6 +533,7 @@ class TestGapSafeWorkingSet:
         reduced problem reached a far smaller gap of its own."""
         w = np.ones(clf40.n)
         lam = 0.3 * lambda_max(clf40, w, LOG)
+        without_finish(monkeypatch)
         _working_sets(monkeypatch, 2)
         if wrong_drop:
             calls = []
@@ -1034,11 +1036,10 @@ class TestSupportPolish:
         """From the w = 1 fit, or from a far-off start with every feature
         active (|S| + 1 > n whenever d >= n).  The tolerance is 1e-13 of the
         scale: at the verifier's 1e-11 a certified 4x1 logistic fit may sit
-        1.4e-6 from the optimum.  A squared fit with d >= n may stall short
-        of it with or without the polish, in the step search's known stall
-        near the optimum (at 500 examples a 20x20 draw stalled on both
-        paths from the same far-off start); wherever the unpolished fit
-        certifies, the polished one must too."""
+        1.4e-6 from the optimum.  Both fits must certify: a squared fit with
+        d >= n that stalled short of it in the step search (a 20x20 draw at
+        500 examples, on both paths from the same far-off start) certifies
+        once the fit finishes on its sign pattern."""
         ds = _polish_problem(seed, n, d, kind)
         rng = np.random.default_rng(seed + 1)
         weights = rng.uniform(1.0 - delta, 1.0 + delta, size=(n, batch))
@@ -1078,10 +1079,6 @@ class TestSupportPolish:
             after = primal_objective(ds, weights[:, k], kind, lam, b_polished, b0_polished)
             # the polish compares objectives it sums in its own order
             assert after <= before + 1e-14 * abs(before)
-            if isinstance(raw[k], ConvergenceError):
-                # the squared stall at d >= n, which the polish may leave behind
-                assert kind is SQ and d >= n
-                continue
             for model in (polished[k], raw[k]):
                 assert isinstance(model, solver.FittedModel)
                 _assert_certified_on_full_matrix(ds, weights[:, k], kind, lam, model,
@@ -1190,3 +1187,26 @@ class TestSupportPolish:
         for fit in fits:
             assert isinstance(fit, solver.FittedModel) and fit.iterations == 1
             assert math.isfinite(fit.gap)
+
+
+class TestPatternFinish:
+    """A cold fit whose full-matrix checks agree on a sign pattern moves to
+    that pattern's minimizer and checks it at the same iteration."""
+
+    @pytest.mark.parametrize("tolerance", ["1e-10", "1e-12 scale"])
+    def test_stalled_draw_certifies(self, monkeypatch, tolerance):
+        """The squared 12x30 draw of TestGapSafeWorkingSet's property test
+        whose fit stalled at a gap of 2.4e-8 for 100 000 iterations (seed
+        221692, ratio 0.109375, delta 0.09375)."""
+        ds = _random_problem(221692, 12, 30, SQ)
+        w = np.random.default_rng(221693).uniform(1.0 - 0.09375, 1.0 + 0.09375, size=12)
+        lam = 0.109375 * lambda_max(ds, w, SQ)
+        scale = objective_scale(ds, w, SQ)
+        gap_tol = 1e-10 if tolerance == "1e-10" else 1e-12 * scale
+        config = FitConfig(gap_tolerance=gap_tol, max_iterations=2000)
+        model = fit_weighted_erm(ds, w, SQ, lam, config)
+        _assert_certified_on_full_matrix(ds, w, SQ, lam, model, gap_tol)
+        assert model.iterations <= 100
+        without_finish(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            fit_weighted_erm(ds, w, SQ, lam, config)
