@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import LossKind, conjugate_neg, feasibility_q, loss_value, nu_constant
-from .solver import FittedModel, _checked_gap, _dual_value, _penalized, _times_support
+from .duality import _checked_gap, _dual_value, _into_domain, _penalized, _times_support, rho_vector
+from .losses import LossKind, feasibility_q, loss_value, nu_constant
+from .solver import FittedModel
 from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
 
 # strict-inequality guard: a bound within one part in 1e12 of lambda keeps
@@ -28,7 +29,6 @@ from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_fro
 STRICT_BAND = 1e-12
 # acceptance band for the all-zero-reference endpoint rule (see screen())
 ZERO_REFERENCE_BAND = 1e-10
-_DOMAIN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -110,51 +110,6 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
         losses_at_optimum=losses,
         gap=model.gap,
     )
-
-
-def _into_domain(kind: LossKind, y: np.ndarray, alpha: np.ndarray, what: str) -> np.ndarray:
-    """alpha moved into the conjugate domain of the loss: unchanged for the
-    squared loss (its domain is all of R), y*alpha clipped into [0, 1] for
-    the logistic loss.
-
-    Callers construct alpha so the true values lie inside the domain; only
-    rounding may push y*alpha past it, by at most _DOMAIN_SLACK.
-    """
-    if kind is LossKind.SQUARED:
-        return alpha
-    p = y * alpha
-    if np.any(p < -_DOMAIN_SLACK) or np.any(p > 1.0 + _DOMAIN_SLACK):
-        bad = int(np.argmax(np.maximum(p - 1.0, -p)))
-        raise ValueError(
-            f"instance {bad}: {what} outside the logistic conjugate domain (y*alpha={p[bad]})"
-        )
-    return y * np.clip(p, 0.0, 1.0)
-
-
-def dg_radius(gap: float, nu: float, delta: float) -> float:
-    """Euclidean radius of a ball certain to contain the re-weighted dual optimum."""
-    if gap < 0:
-        raise ValueError(f"gap must be >= 0, got {gap}")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must be in [0, 1), got {delta}")
-    return math.sqrt(2.0 * nu / (1.0 - delta) * gap)
-
-
-def _conjugate_at_scaled(ref: ReferencePair, factor: float) -> np.ndarray:
-    """conj(y_i, -factor * alpha_i), guarded against rounding out of the domain."""
-    alpha = _into_domain(ref.loss_kind, ref.y, factor * ref.alpha_star, "scaled dual point")
-    return np.asarray(conjugate_neg(ref.loss_kind, ref.y, alpha))
-
-
-def rho_vector(ref: ReferencePair) -> np.ndarray:
-    """Per-instance worst-case gap contribution over the reference's weight range.
-
-    rho_i = loss_i + max of the conjugate at the two extreme reweightings
-    q/(1+delta) and q/(1-delta); convexity puts the maximum at an endpoint.
-    """
-    lo = _conjugate_at_scaled(ref, ref.q / (1.0 + ref.delta))
-    hi = _conjugate_at_scaled(ref, ref.q / (1.0 - ref.delta))
-    return ref.losses_at_optimum + np.maximum(lo, hi)
 
 
 def _check_inputs(ref: ReferencePair, box: WeightBox, dataset: Dataset) -> None:

@@ -1,4 +1,4 @@
-"""Weighted L1-regularized ERM solver with a certified duality gap.
+"""Weighted L1-regularized ERM solver, certified by the duality gap that duality computes.
 
 Objective: sum_i w_i loss(y_i, x_i.b + b0) + lambda ||b||_1, intercept
 unpenalized, no 1/n factor anywhere (the screening constants assume this
@@ -17,39 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (
-    DomainError,
-    LossKind,
-    _check_labels,
-    _conjugate_neg,
-    _derivative,
-    _dual_from_margin,
-    _loss,
-    _sigmoid_neg,
-    loss_value,
-    nu_constant,
-)
 from .data import Dataset
-from .uncertainty import _column_blocks, _column_square_sums
+from .duality import (_EQ_ROUNDING_PER_ROW, _GAP_SAFE_MIN_BYTES, _check_lambda, _check_weights,
+                      _clamped_gap, _dual_value, _penalized, _repair_from_margins, _times_support)
+from .losses import (LossKind, _check_labels, _derivative, _dual_from_margin, _loss, _sigmoid_neg,
+                     loss_value, nu_constant)
+from .uncertainty import _column_square_sums
 
 DEFAULT_GAP_SCALE = 1e-9
 DEFAULT_EQ_PER_ROW = 1e-10
 DEFAULT_MAX_ITERATIONS = 100_000
 _CHECK_EVERY = 5
-# The size of x from which the solver exploits sparsity, on both sides:
-# the fit runs on prioritized working sets of the columns the Gap Safe rule
-# cannot certify zero, _times_support multiplies only the columns of x
-# under nonzero coefficients, and a full-matrix gap check multiplies only
-# the columns whose correlation bound can reach lambda
-# (_CorrelationBounds).  Below it the fit does exactly the float
-# operations of a dense one.  A full x.T @ v there costs less than an
-# iteration's interpreter overhead (2-CPU Intel VM, OpenBLAS on one thread:
-# x.T @ v 18 us at 1 MiB; a 40x15 iteration 35 us squared, 200 us
-# logistic), so neither saves anything.  Fit time with/without working
-# sets, squared and logistic synth at 0.1 lambda_max, best of 7: 0.98 MiB
-# (1000x128, 2000x64) 0.94-1.46x, 1.95 MiB (2000x128) 0.85-0.87x,
-# 3.05 MiB (2000x200) 0.55-0.74x.
-_GAP_SAFE_MIN_BYTES = 1 << 20
 # The prioritized working set (see _fit_column): at least
 # _WORKING_SET_LEAST columns, and a reduced problem rejoins the full matrix
 # once its gap is _REJOIN_RATIO of the best full-matrix one.  Chosen on the
@@ -64,12 +42,6 @@ _GAP_SAFE_MIN_BYTES = 1 << 20
 # iterations without working sets and 1200 with the Gap Safe rule alone.
 _WORKING_SET_LEAST = 30
 _REJOIN_RATIO = 0.3
-# The squared loss's dual shift leaves sum_i w_i alpha_i at rounding level:
-# the weighted sum, the total weight and the residual's own sum each round
-# by up to n u sum_i w_i |alpha_i|, the subtraction by u per entry (u =
-# eps / 2), so (3n + 2) u = (1.5n + 1) eps per unit of sum_i w_i |alpha_i|;
-# the dual equality test accepts 2 (n + 1) eps of it.
-_EQ_ROUNDING_PER_ROW = 2 * np.finfo(float).eps
 
 
 class ConvergenceError(RuntimeError):
@@ -129,45 +101,11 @@ class ColumnFits(tuple):
                    for r in self)
 
 
-def _check_weights(weights, shape: tuple[int, ...]) -> np.ndarray:
-    """weights as floats of the given shape: (n,), or (n, T) with T >= 1 for
-    the batched form fit_weighted_erm takes from the verifier."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != shape or w.size == 0:
-        raise ValueError(f"weights must have shape {shape}, got shape {w.shape}")
-    if not (np.all(w > 0) and np.all(np.isfinite(w))):
-        raise ValueError("weights must be finite and strictly positive")
-    return w
-
-
 def objective_scale(dataset: Dataset, weights, kind: LossKind) -> float:
     """max(1, primal objective of the all-zero model); tolerance reference."""
     w = _check_weights(weights, (dataset.n,))
     zero_margins = np.zeros(dataset.n)
     return max(1.0, float(np.dot(w, loss_value(kind, dataset.y, zero_margins))))
-
-
-def _times_support(x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ b for coefficients b of shape (d,) or (d, T).
-
-    When x holds at least _GAP_SAFE_MIN_BYTES and at most half the rows of
-    b hold a nonzero (in any column), only the columns of x under those rows
-    are multiplied, gathered one _column_blocks block at a time so no copy
-    larger than a block is made; the sum then rounds in another order than
-    x @ b.  Otherwise this is x @ b itself, which also raises on a b whose
-    length is not x's column count.
-    """
-    if x.nbytes < _GAP_SAFE_MIN_BYTES or b.shape[:1] != x.shape[1:]:
-        return x @ b
-    rows = np.flatnonzero(b if b.ndim == 1 else b.any(axis=1))
-    if 2 * rows.size > b.shape[0]:
-        return x @ b
-    out = np.zeros(x.shape[:1] + b.shape[1:])
-    # x[:, :rows.size] is a view of the gathered matrix's shape
-    for block in _column_blocks(x[:, :rows.size]):
-        cols = rows[block]
-        out += x[:, cols] @ b[cols]
-    return out
 
 
 def _columns_times(x: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -188,111 +126,6 @@ def _columns_times(x: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray
     for lo, hi in zip(starts, starts[1:] + [cols.size]):
         out[lo:hi] = x[:, cols[lo]:cols[hi - 1] + 1].T @ v
     return out
-
-
-def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> float:
-    w = _check_weights(weights, (dataset.n,))
-    b = np.asarray(b, dtype=float)
-    if b.shape != (dataset.d,):
-        raise ValueError(f"b must have length {dataset.d}, got shape {b.shape}")
-    margins = _times_support(dataset.x, b) + b0
-    return float(_penalized(w, loss_value(kind, dataset.y, margins), lam, b))
-
-
-def dual_objective(dataset: Dataset, weights, kind: LossKind, alpha) -> float:
-    """-sum_i w_i conj(y_i, -alpha_i); -inf when alpha leaves the conjugate domain."""
-    w = _check_weights(weights, (dataset.n,))
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (dataset.n,):
-        raise ValueError(f"alpha must have length {dataset.n}, got shape {alpha.shape}")
-    _check_labels(kind, dataset.y)
-    return float(_dual_value(kind, dataset.y, w, alpha))
-
-
-def _dual_value(kind: LossKind, y: np.ndarray, w: np.ndarray, alpha: np.ndarray):
-    """The dual objective of a 1-D alpha, or of each column of alpha (n, T)
-    with y and w of the same shape; -inf when alpha leaves the conjugate
-    domain."""
-    try:
-        vals = _conjugate_neg(kind, y, alpha)
-    except DomainError:
-        return float("-inf")
-    return -np.vecdot(w, vals, axis=0)
-
-
-def _penalized(w: np.ndarray, losses: np.ndarray, lam: float, b: np.ndarray):
-    """sum_i w_i losses_i + lam ||b||_1, the primal objective from the losses
-    at each instance: for 1-D w, losses and b, or for each column of w and
-    losses (n, T) and b (d, T)."""
-    return np.vecdot(w, losses, axis=0) + lam * np.abs(b).sum(axis=0)
-
-
-def _clamped_gap(primal, dual):
-    """primal minus dual, clamped at zero against floating-point noise: a
-    float, or one per column of a batch."""
-    return np.maximum(0.0, np.subtract(primal, dual))
-
-
-def _checked_gap(primal, dual) -> float:
-    """The clamped gap of one weight vector, refusing a dual objective of a
-    point outside the conjugate domain (-inf) or one past the primal by more
-    than 1e-12 of the larger of 1, |primal| and |dual|, which breaks weak
-    duality: the gap of duality_gap and of screening.ub_for_weight."""
-    if dual == float("-inf"):
-        raise DomainError("alpha outside the conjugate domain")
-    gap = primal - dual
-    if gap < -1e-12 * max(1.0, abs(primal), abs(dual)):
-        raise DomainError(f"weak duality violated (gap={gap}); alpha is not dual feasible")
-    return float(_clamped_gap(primal, dual))
-
-
-def duality_gap(
-    dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float, alpha
-) -> float:
-    """Primal minus dual; clamped at zero against floating-point noise."""
-    p = primal_objective(dataset, weights, kind, lam, b, b0)
-    return _checked_gap(p, dual_objective(dataset, weights, kind, alpha))
-
-
-def _repair_from_margins(
-    kind: LossKind, y: np.ndarray, x: np.ndarray, w: np.ndarray, lam: float, margins: np.ndarray,
-    bounds: "_CorrelationBounds | None" = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The repaired dual point, |x.T (w o alpha)| at it and the factor it was
-    shrunk by, for 1-D margins or for each column of margins (n, T) with y
-    and w of the same shape.
-
-    With the _CorrelationBounds of x, for 1-D margins, only the columns
-    whose bound can reach lam are multiplied; every other column is below
-    lam and carries its bound in place of |x_j.T (w o alpha)|, so the
-    shrink is the one the full product gives whenever the multiplied
-    columns round as in x.T @ v.
-    """
-    alpha = _dual_from_margin(kind, y, margins)
-    if kind is LossKind.SQUARED:
-        # domain is all of R, so the equality constraint can be zeroed up to
-        # the rounding of the shift (see _EQ_ROUNDING_PER_ROW)
-        alpha = alpha - np.vecdot(w, alpha, axis=0) / w.sum(axis=0)
-    corr = np.abs(x.T @ (w * alpha)) if bounds is None else bounds.correlations(w, alpha, lam)
-    # shrinking toward zero preserves both dual constraints and, for the
-    # logistic loss, the conjugate domain; a column within lam gets exactly 1.0
-    shrink = lam / np.maximum(corr.max(axis=0, initial=0.0), lam)
-    return alpha * shrink, corr * shrink, shrink
-
-
-def recover_dual(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> np.ndarray:
-    """Dual point from the primal margins, repaired to feasibility.
-
-    Squared loss: shifted so the weighted sum is exactly zero.  Logistic
-    loss: the shift is skipped (it could leave the conjugate domain); the
-    intercept step of the solver is what drives the weighted sum down.
-    Both: scaled by lam / max(lam, ||X^T (w o alpha)||_inf).
-    """
-    w = _check_weights(weights, (dataset.n,))
-    _check_labels(kind, dataset.y)
-    b = np.asarray(b, dtype=float)
-    margins = _times_support(dataset.x, b) + b0
-    return _repair_from_margins(kind, dataset.y, dataset.x, w, lam, margins)[0]
 
 
 def lambda_max(dataset: Dataset, weights, kind: LossKind) -> float:
@@ -765,8 +598,7 @@ def fit_weighted_erm(
     w = _check_weights(weights, (dataset.n,) + np.shape(weights)[1:2])
     if config is None:
         config = FitConfig()
-    if not (lam > 0 and math.isfinite(lam)):
-        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    _check_lambda(lam)
     _check_labels(kind, dataset.y)  # the fit calls the unchecked loss kernels
     columns = w if w.ndim == 2 else w[:, None]
     batch = columns.shape[1]

@@ -31,7 +31,7 @@ from drfs import (
     synth,
 )
 from conftest import screen_setup, uniform_fit
-from drfs.screening import rho_vector
+from drfs.duality import rho_vector
 from drfs.solver import objective_scale
 from drfs.uncertainty import enumerate_corners, worst_case_weights
 

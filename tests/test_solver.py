@@ -14,6 +14,7 @@ from drfs import (
     FitConfig,
     LossKind,
     Task,
+    dg_radius,
     dual_objective,
     duality_gap,
     fit_weighted_erm,
@@ -23,16 +24,16 @@ from drfs import (
     sample_feasible,
     synth,
 )
-from drfs import data, solver
+from drfs import data, duality, solver
 from drfs.losses import _sigmoid_neg
 from drfs.solver import (
     DEFAULT_EQ_PER_ROW,
     _EQ_NEWTON_FLOOR,
     _column_square_sums,
     _intercept_logistic,
-    _times_support,
     objective_scale,
 )
+from drfs.duality import _times_support
 from drfs import uncertainty
 from drfs.uncertainty import COLUMN_BLOCK_BYTES
 from conftest import screen_setup, without_finish, without_polish
@@ -194,6 +195,38 @@ def test_non_finite_weights_are_refused(entry_point, kind, fixture, entry, reque
     }[entry_point]
     with pytest.raises(ValueError, match="weights must be finite and strictly positive"):
         call()
+
+
+_LAMBDA_ENTRIES = {
+    "primal_objective": lambda ds, lam: primal_objective(ds, np.ones(ds.n), SQ, lam,
+                                                         np.zeros(ds.d), 0.0),
+    "duality_gap": lambda ds, lam: duality_gap(ds, np.ones(ds.n), SQ, lam, np.zeros(ds.d), 0.0,
+                                               np.zeros(ds.n)),
+    "recover_dual": lambda ds, lam: recover_dual(ds, np.ones(ds.n), SQ, lam, np.zeros(ds.d), 0.0),
+    "fit_weighted_erm": lambda ds, lam: fit_weighted_erm(ds, np.ones(ds.n), SQ, lam),
+}
+
+
+@pytest.mark.parametrize("call,message", [
+    *(pytest.param(lambda ds, entry=entry, lam=lam: entry(ds, lam),
+                   "lambda must be finite and > 0", id=f"{name} lambda={lam}")
+      for name, entry in _LAMBDA_ENTRIES.items() for lam in (math.nan, -1.0, 0.0, math.inf)),
+    *(pytest.param(lambda ds, shape=shape: recover_dual(ds, np.ones(ds.n), SQ, 1.0,
+                                                        np.zeros(shape(ds.d)), 0.0),
+                   "b must have length 15", id=f"recover_dual b {label}")
+      for label, shape in [("(d - 1,)", lambda d: d - 1), ("(d, 2)", lambda d: (d, 2))]),
+    pytest.param(lambda ds: dg_radius(math.nan, 2.0, 0.1), "gap must be >= 0",
+                 id="dg_radius gap=nan"),
+    *(pytest.param(lambda ds, nu=nu: dg_radius(1.0, nu, 0.1), "nu must be finite and > 0",
+                   id=f"dg_radius nu={nu}") for nu in (math.nan, -2.0, 0.0, math.inf)),
+])
+def test_bad_lambda_b_and_nu_are_refused(call, message, reg40):
+    """The entries that evaluate the certificate refuse a NaN, non-positive
+    or infinite lambda or nu, a NaN gap and a b that is not (d,) by name,
+    rather than returning NaN or inf, blaming alpha for a negative lambda,
+    returning a dual point or failing inside numpy."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(reg40)
 
 
 _SATURATED_STARTS = [
@@ -388,9 +421,11 @@ def _record_checks(monkeypatch, widths: list, multiplied: list | None = None) ->
 
 
 def _working_sets(monkeypatch, least: int) -> None:
-    """Working sets at every size: x counts as large, and sets of `least`
-    columns are small enough to compact into."""
+    """Working sets at every size: x counts as large, in the fit and in
+    _times_support (which reads the threshold in duality), and sets of
+    `least` columns are small enough to compact into."""
     monkeypatch.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)
+    monkeypatch.setattr(duality, "_GAP_SAFE_MIN_BYTES", 0)
     monkeypatch.setattr(solver, "_WORKING_SET_LEAST", least)
 
 
@@ -570,7 +605,7 @@ class TestGapSafeWorkingSet:
     def test_fit_above_threshold_certifies(self):
         """A matrix just over _GAP_SAFE_MIN_BYTES screens by default."""
         n, d = 1100, 120
-        assert n * d * 8 >= solver._GAP_SAFE_MIN_BYTES
+        assert n * d * 8 >= duality._GAP_SAFE_MIN_BYTES
         ds = _random_problem(3, n, d, LOG)
         w = np.ones(n)
         lam = 0.2 * lambda_max(ds, w, LOG)
@@ -702,10 +737,10 @@ class TestTimesSupport:
         """Below the size threshold, or with more than half the rows nonzero,
         the result is x @ b bit for bit."""
         small_x, small_b = self.operands([2, 9], batch, n=40, d=15)
-        assert small_x.nbytes < solver._GAP_SAFE_MIN_BYTES
+        assert small_x.nbytes < duality._GAP_SAFE_MIN_BYTES
         np.testing.assert_array_equal(_times_support(small_x, small_b), small_x @ small_b)
         x, b = self.operands(np.arange(self.D // 2 + 1), batch)
-        assert x.nbytes >= solver._GAP_SAFE_MIN_BYTES
+        assert x.nbytes >= duality._GAP_SAFE_MIN_BYTES
         np.testing.assert_array_equal(_times_support(x, b), x @ b)
 
     @pytest.mark.parametrize("batch", [None, 1, 3])
@@ -763,7 +798,7 @@ class TestTimesSupport:
         """The gathered columns never take more than a block at once."""
         n, d = 1000, 200
         x, b = self.operands(np.arange(d // 2 - 1), n=n, d=d)
-        assert x.nbytes >= solver._GAP_SAFE_MIN_BYTES
+        assert x.nbytes >= duality._GAP_SAFE_MIN_BYTES
         assert (d // 2 - 1) * 8 * n > 2 * COLUMN_BLOCK_BYTES  # a one-shot gather would not fit
         tracemalloc.start()
         try:
@@ -846,7 +881,7 @@ class TestFitColumns:
         loop as a fit of that column alone does, bit for bit, on x below and
         above _GAP_SAFE_MIN_BYTES."""
         ds = _random_problem(7, n, d, kind)
-        assert (ds.x.nbytes >= solver._GAP_SAFE_MIN_BYTES) == (n > 1000)
+        assert (ds.x.nbytes >= duality._GAP_SAFE_MIN_BYTES) == (n > 1000)
         ones = np.ones(n)
         lam = 0.2 * lambda_max(ds, ones, kind)
         start = fit_weighted_erm(ds, ones, kind, lam)
@@ -1134,7 +1169,7 @@ class TestSupportPolish:
         polish agree with both to rounding."""
         n, d = 1100, 120
         ds = _random_problem(5, n, d, kind)
-        assert ds.x.nbytes >= solver._GAP_SAFE_MIN_BYTES
+        assert ds.x.nbytes >= duality._GAP_SAFE_MIN_BYTES
         ones = np.ones(n)
         lam = 0.2 * lambda_max(ds, ones, kind)
         start = fit_weighted_erm(ds, ones, kind, lam)

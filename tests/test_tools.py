@@ -1,6 +1,7 @@
 """The scripts under tools/ import drfs names that no test imports; a rename
 must fail here rather than when someone next compares two source trees.
-fit_hashes.py must also fix the BLAS thread count before numpy loads."""
+fit_hashes.py must also fix the BLAS thread count before numpy loads.  The
+module boundaries of src/drfs are checked here too, on the source."""
 
 import ast
 import importlib
@@ -8,6 +9,15 @@ import importlib.util
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+DRFS = Path(__file__).resolve().parents[1] / "src" / "drfs"
+# every name that computes a primal value, a dual value, a gap or a feasible
+# dual point, with the constants they read
+CERTIFICATE = {
+    "_GAP_SAFE_MIN_BYTES", "_EQ_ROUNDING_PER_ROW", "_DOMAIN_SLACK", "_check_weights",
+    "_times_support", "primal_objective", "dual_objective", "_dual_value", "_penalized",
+    "_clamped_gap", "_checked_gap", "duality_gap", "_repair_from_margins", "recover_dual",
+    "_into_domain", "dg_radius", "_conjugate_at_scaled", "rho_vector",
+}
 
 
 def _drfs_imports():
@@ -65,3 +75,44 @@ class C:
         return x
 '''
     assert code_lines.count(source) == (16, 6)
+
+
+def _drfs_modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(DRFS.glob("*.py"))}
+
+
+def _imported(tree: ast.Module):
+    """(drfs module, name) for each name a module imports from a drfs module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("drfs")):
+            module = (node.module or "").removeprefix("drfs").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_duality_owns_the_certificate():
+    """duality defines every certificate formula once and depends on no
+    module that uses it, and no module reaches into solver's or screening's
+    private names."""
+    modules = _drfs_modules()
+    private = [f"{name}: {module}.{imported}" for name, tree in modules.items()
+               for module, imported in _imported(tree)
+               if module in ("solver", "screening") and (imported or "").startswith("_")]
+    assert private == []
+    homes = {name: [module for module, tree in modules.items() if name in _defined(tree)]
+             for name in sorted(CERTIFICATE)}
+    assert homes == {name: ["duality"] for name in sorted(CERTIFICATE)}
+    assert not {module for module, _ in _imported(modules["duality"])} & {
+        "solver", "screening", "oracle", "cli"}
