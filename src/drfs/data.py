@@ -17,6 +17,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .losses import LossKind, _dual_from_margin
 from .uncertainty import _column_square_sums, _squared_half_sums
 
 
@@ -43,9 +44,12 @@ class Task(Enum):
 class Dataset:
     """A design matrix and its labels.
 
-    `x` is stored read-only: column statistics of it are cached for the life
-    of the dataset, the half-sums of x*x that `screen` pairs with every
-    weight box and the sums sum_i x_ij^2 that every unit-weight fit reads.
+    `x` is stored read-only: three statistics of it are cached, read-only,
+    for the life of the dataset: the half-sums of x*x that `screen` pairs
+    with every weight box, the sums sum_i x_ij^2 that every unit-weight fit
+    reads, and per loss the intercept-only dual point at unit weights with
+    its correlations, which `lambda_max` reads and from which a cold
+    unit-weight fit starts its correlation bounds.
     """
 
     x: np.ndarray
@@ -84,7 +88,9 @@ class Dataset:
     @cached_property
     def _x_sq_half_sums(self) -> np.ndarray:
         """The (3, d) half-sums of x*x that screen pairs with every weight box."""
-        return _squared_half_sums(self.x)
+        sums = _squared_half_sums(self.x)
+        sums.flags.writeable = False  # lower sums would make removals unsafe
+        return sums
 
     @cached_property
     def _x_sq_sums(self) -> np.ndarray:
@@ -93,6 +99,35 @@ class Dataset:
         sums = _column_square_sums(self.x, np.ones(self.n))
         sums.flags.writeable = False  # every such fit shares them
         return sums
+
+    def _unit_intercept_only(self, kind: LossKind) -> tuple[np.ndarray, np.ndarray]:
+        """_intercept_only at unit weights, computed once per loss: the dual
+        point alpha (n,) and x.T @ alpha (d,), both read-only."""
+        cache = self.__dict__.setdefault("_intercept_only_by_loss", {})
+        if kind not in cache:
+            alpha, corr = _intercept_only(self.x, self.y, np.ones(self.n), kind)
+            alpha.flags.writeable = corr.flags.writeable = False
+            cache[kind] = alpha, corr
+        return cache[kind]
+
+
+def _intercept_only(x: np.ndarray, y: np.ndarray, w: np.ndarray,
+                    kind: LossKind) -> tuple[np.ndarray, np.ndarray]:
+    """The dual point alpha (n,) of the intercept-only optimum at weights w
+    (n,), and its correlations x.T @ (w o alpha) (d,), whose sup-norm is
+    lambda_max.  The intercept is analytic: w.y / sum w for the squared
+    loss, the log-odds of the two classes' weights for the logistic one,
+    which refuses labels of one class."""
+    if kind is LossKind.SQUARED:
+        b0 = float(np.dot(w, y) / np.sum(w))
+    else:
+        pos = y == 1.0
+        neg = y == -1.0
+        if not (np.all(pos | neg) and np.any(pos) and np.any(neg)):
+            raise ValueError("logistic lambda_max requires both classes present in {-1, +1}")
+        b0 = math.log(float(np.sum(w[pos]))) - math.log(float(np.sum(w[neg])))
+    alpha = _dual_from_margin(kind, y, b0)
+    return alpha, x.T @ (w * alpha)
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,11 @@ def _repair_from_margins(
     and w of the same shape.
 
     With the solver's _CorrelationBounds of x, for 1-D margins, only the
-    columns whose bound can reach lam are multiplied; every other column is
-    below lam and carries its bound in place of |x_j.T (w o alpha)|, so the
-    shrink is the one the full product gives whenever the multiplied
-    columns round as in x.T @ v.
+    columns that can decide the shrink are multiplied; every other column is
+    below the larger of lam and the largest correlation multiplied, and
+    carries its bound in place of |x_j.T (w o alpha)|, so the shrink is the
+    one the full product gives whenever the multiplied columns round as in
+    x.T @ v.
     """
     alpha = _dual_from_margin(kind, y, margins)
     if kind is LossKind.SQUARED:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _intercept_only
 from .duality import (_EQ_ROUNDING_PER_ROW, _GAP_SAFE_MIN_BYTES, _check_lambda, _check_weights,
                       _clamped_gap, _dual_value, _penalized, _repair_from_margins, _times_support)
-from .losses import (LossKind, _check_labels, _derivative, _dual_from_margin, _loss, _sigmoid_neg,
-                     loss_value, nu_constant)
+from .losses import (LossKind, _check_labels, _derivative, _loss, _sigmoid_neg, loss_value,
+                     nu_constant)
 from .uncertainty import _column_square_sums
 
 DEFAULT_GAP_SCALE = 1e-9
@@ -132,19 +132,15 @@ def lambda_max(dataset: Dataset, weights, kind: LossKind) -> float:
     """Smallest lambda making the optimal coefficient vector all zero.
 
     Closed form from the intercept-only optimum: the dual of that fit is
-    analytic, and lambda_max is the sup-norm of its feature correlations.
+    analytic, and lambda_max is the sup-norm of its feature correlations
+    (data._intercept_only).  At unit weights they are the dataset's,
+    computed once per loss (Dataset._unit_intercept_only).
     """
     w = _check_weights(weights, (dataset.n,))
-    y = dataset.y
-    if kind is LossKind.SQUARED:
-        b0 = float(np.dot(w, y) / np.sum(w))
+    if np.all(w == 1.0):
+        corr = dataset._unit_intercept_only(kind)[1]
     else:
-        pos = y == 1.0
-        neg = y == -1.0
-        if not (np.all(pos | neg) and np.any(pos) and np.any(neg)):
-            raise ValueError("logistic lambda_max requires both classes present in {-1, +1}")
-        b0 = math.log(float(np.sum(w[pos]))) - math.log(float(np.sum(w[neg])))
-    corr = dataset.x.T @ (w * _dual_from_margin(kind, y, b0))
+        corr = _intercept_only(dataset.x, dataset.y, w, kind)[1]
     return float(np.max(np.abs(corr)))
 
 
@@ -201,17 +197,22 @@ def _multiplied_columns(undecided: np.ndarray) -> np.ndarray:
     """The columns of x a full-matrix check multiplies, in ascending order,
     from the mask undecided (d,) of those whose bound cannot decide: each
     aligned group of four columns (the last one holds d mod 4) that holds an
-    undecided column, so that _columns_times rounds them as x.T @ v does."""
+    undecided column, so that _columns_times rounds them as x.T @ v does.  A
+    last group of one column comes with the group before it: alone, numpy
+    multiplies it as a dot product, which rounds unlike x.T @ v."""
     d = undecided.size
     groups = np.zeros(-(-d // 4) * 4, dtype=bool)
     groups[:d] = undecided
-    return np.flatnonzero(groups.reshape(-1, 4).any(axis=1).repeat(4)[:d])
+    taken = groups.reshape(-1, 4).any(axis=1)
+    if d % 4 == 1 and d > 1:
+        taken[-2] |= taken[-1]
+    return np.flatnonzero(taken.repeat(4)[:d])
 
 
 class _CorrelationBounds:
     """Upper bounds ub (d,) on the raw correlations |x_j.T (w o alpha)| at
     each full-matrix check of a one-vector fit, so that a check multiplies
-    only the columns whose bound cannot decide.
+    only the columns whose bound can decide.
 
     From one check to the next, alpha moves by shift = ||alpha - alpha_prev||_w
     (||a||_w^2 = sum_i w_i a_i^2), so by the triangle inequality and
@@ -224,26 +225,33 @@ class _CorrelationBounds:
     products and the rounding of the norms and of shift, and a factor
     1 + 4 eps for its own three roundings.  So every bound stays at least
     the correlation that x.T @ (w o alpha) computes.  A multiplied column's
-    bound is reset to its computed correlation; at the first check every
-    bound is inf, so every column is multiplied.
+    bound is reset to its computed correlation.  The bounds start at an
+    anchor (alpha, x.T @ alpha) of unit weights, a product like any other
+    they hold, or else at inf, so that the first check multiplies every
+    column.
     """
 
-    def __init__(self, x: np.ndarray, norms: np.ndarray):
+    def __init__(self, x: np.ndarray, norms: np.ndarray, anchor: tuple | None = None):
         n = x.shape[0]
         self.x, self.norms = x, norms
-        self.ub = np.full(norms.shape, np.inf)
-        self.alpha, self.alpha_norm = np.zeros(n), 0.0
+        if anchor is None:
+            self.alpha, self.ub = np.zeros(n), np.full(norms.shape, np.inf)
+        else:
+            self.alpha, self.ub = anchor[0], np.abs(anchor[1])
+        self.alpha_norm = math.sqrt(np.vecdot(self.alpha, self.alpha))
         self.gamma = 2 * (n + 4) * np.finfo(float).eps
         # this check's w o alpha, and the columns it multiplied
         self.wa, self.exact = None, np.zeros(norms.shape, dtype=bool)
 
     def correlations(self, w: np.ndarray, alpha: np.ndarray, lam: float) -> np.ndarray:
-        """Advance the bounds to the raw dual point alpha (n,), multiply every
-        column whose bound reaches lam and return the bounds, exact where
-        multiplied.  A column it skips has ub_j < lam (1 - 4 eps), so every
-        correlation that reaches lam, and so decides the shrink, is
-        multiplied, and so is every column that could tie with the largest
-        once shrunk."""
+        """Advance the bounds to the raw dual point alpha (n,) and return
+        them, exact where multiplied.  It multiplies first the columns of the
+        largest bound, then every column whose bound reaches max(lam, M)
+        (1 - 4 eps), M being the largest correlation computed.  A column it
+        skips has ub_j below that, so every correlation that decides the
+        shrink, and every column that could tie with the largest once
+        shrunk, is multiplied, and the shrink is the one the full product
+        gives."""
         eps = np.finfo(float).eps
         shift = math.sqrt(np.vecdot(w, np.square(alpha - self.alpha)))
         alpha_norm = math.sqrt(np.vecdot(w, np.square(alpha)))
@@ -251,7 +259,9 @@ class _CorrelationBounds:
         self.ub = (self.ub + self.norms * step) * (1.0 + 4.0 * eps)
         self.alpha, self.alpha_norm, self.wa = alpha, alpha_norm, w * alpha
         self.exact[:] = False
-        self.refine(self.ub >= lam * (1.0 - 4.0 * eps))
+        self.refine(self.ub == self.ub.max())
+        largest = self.ub[self.exact].max(initial=lam)
+        self.refine(self.ub >= largest * (1.0 - 4.0 * eps))
         return self.ub
 
     def refine(self, undecided: np.ndarray) -> np.ndarray:
@@ -329,13 +339,15 @@ def _pattern_newton(
     return theta
 
 
-def _pattern_finish(col: _WeightColumns, b: np.ndarray, b0: float, obj: float) -> tuple | None:
+def _pattern_finish(
+    col: _WeightColumns, x: np.ndarray, b: np.ndarray, b0: float, obj: float,
+) -> tuple | None:
     """The minimizer over (b_S, b0) on the sign pattern of a one-vector
-    fit's point b (d,), b0 at col's weights (_pattern_newton from that
-    point), with x @ b at it and its objective, where that objective is at
-    most _FINISH_SLACK above the point's objective obj; otherwise None (a
-    NaN minimizer's objective is NaN)."""
-    x = col.dataset.x
+    fit's point b, b0 at col's weights (_pattern_newton from that point),
+    with x @ b at it and its objective, where that objective is at most
+    _FINISH_SLACK above the point's objective obj; otherwise None (a NaN
+    minimizer's objective is NaN).  x holds the columns b is indexed by:
+    the dataset's, or a working set's."""
     support = np.flatnonzero(b)
     with np.errstate(over="ignore", invalid="ignore"):
         theta = _pattern_newton(col.kind, x, support, np.sign(b[support]), col.lam,
@@ -659,7 +671,9 @@ def _fit_column(
     its objective is at most _FINISH_SLACK above the iterate's, it takes the
     iterate's place, the momentum restarts and the same check runs again on
     it, at the same iteration count and with the same correlation bounds.
-    Each pattern is finished at most once per fit.
+    A working set (below) finishes the same way, on its own columns, when
+    two of its checks in a row find one sign pattern while its rejoin is
+    due.  Each pattern is finished at most once per fit.
 
     When x holds at least _GAP_SAFE_MIN_BYTES and has more than twice
     _WORKING_SET_LEAST columns, the fit runs on prioritized working sets
@@ -670,9 +684,14 @@ def _fit_column(
     (_prioritized, at least `least` of them), and once they are at most half
     of the columns of x, the iterations multiply only those.  Its checks do
     not screen, for the Gap Safe certificate holds only for the full
-    problem.  When the reduced problem certifies there, or its gap falls to
-    _REJOIN_RATIO of its best full-matrix gap, or the iterations run out,
-    every feature rejoins and the check is repeated on the full matrix.  If
+    problem.  When the reduced problem certifies there or the iterations
+    run out, every feature rejoins at once and the check is repeated on the
+    full matrix.  When its gap falls to _REJOIN_RATIO of the best
+    full-matrix gap, the rejoin is due, and it waits until the iterations
+    since the last full check have multiplied as many bytes as the full
+    check will, x.nbytes, counting twice the working set's bytes per
+    iteration (its gradient and its step's margins); meanwhile the reduced
+    problem finishes on its pattern, and often certifies.  If
     that check finds the dual point shrunk for a feature outside the working
     set it left, the working set missed an active feature: the momentum
     restarts, `least` doubles, and once it reaches half the columns of x the
@@ -685,11 +704,17 @@ def _fit_column(
     full problem.  At that size the products with the coefficients also skip
     their zero rows (_times_support), and the checks on the full matrix
     multiply only the columns a _CorrelationBounds cannot decide: first
-    those whose bound reaches lam, which leaves the shrink as it is, then,
-    once the gap is known, those the Gap Safe rule may keep, so its
-    survivors, the _prioritized scores and the missed-feature test read the
+    those that decide the shrink (the largest correlation and those whose
+    bound reaches it or lam), which leaves the shrink as it is, then, once
+    the gap is known, those the Gap Safe rule may keep, so its survivors,
+    the _prioritized scores and the missed-feature test read the
     correlations a full product computes.  A fit at unit weights reads
-    sum_i x_ij^2 from the dataset (Dataset._x_sq_sums).
+    sum_i x_ij^2 from the dataset (Dataset._x_sq_sums).  A cold one starts
+    its bounds at the intercept-only correlations lambda_max reads
+    (Dataset._unit_intercept_only): its first check, at b = 0, has a dual
+    point within rounding of that one, so it multiplies a few columns, and
+    its Gap Safe survivors (a superset of the full product's) and working
+    set read the bounds.
     """
     x = dataset.x
     n, d = x.shape
@@ -711,7 +736,8 @@ def _fit_column(
     with np.errstate(over="ignore"):  # an overflow fails the test below
         obj_curr = col.objective(t0 + b0, b)
     # a fit at unit weights reads the sums cached on the dataset
-    w_sq_sums = dataset._x_sq_sums if np.all(w == 1.0) else _column_square_sums(x, w)
+    unit = bool(np.all(w == 1.0))
+    w_sq_sums = dataset._x_sq_sums if unit else _column_square_sums(x, w)
     l_min = max(nu * w_sq_sums.max(), 1e-12)
     if not (math.isfinite(l_min) and math.isfinite(obj_curr)):
         raise ValueError(_OVERFLOW)
@@ -723,17 +749,28 @@ def _fit_column(
     v, t0_v = b, t0
     least = _WORKING_SET_LEAST  # doubles when a working set misses a feature
     screening = x.nbytes >= _GAP_SAFE_MIN_BYTES and 2 * least < d
-    bounds = _CorrelationBounds(x, norms) if x.nbytes >= _GAP_SAFE_MIN_BYTES else None
+    bounds = None
+    if x.nbytes >= _GAP_SAFE_MIN_BYTES:
+        # a cold fit at unit weights checks first at b = 0, next to the
+        # intercept-only point whose correlations lambda_max reads (a
+        # logistic problem of one class has none)
+        seeded = unit and iterations == 0 and (kind is LossKind.SQUARED or y.min() < y.max())
+        anchor = dataset._unit_intercept_only(kind) if seeded else None
+        bounds = _CorrelationBounds(x, norms, anchor)
     # the working set: xa holds the columns cols of x, and the entries of b,
     # v and the gradient are indexed like them; left is the working set the
-    # last rejoin left, until the full check after it
+    # last rejoin left, until the full check after it; read counts the bytes
+    # of xa the iterations multiplied since the last full check, each xa
+    # twice: for its gradient and for the margins of its step (on an xa of
+    # _GAP_SAFE_MIN_BYTES or more, only the columns under its nonzeros)
     every = np.arange(d)
-    cols, xa, left = every, x, None
+    cols, xa, left, read = every, x, None, 0
     # the best iterate, from checks on the full matrix, and its dual
     # equality residual
     best_gap, best_b, best_b0, best_alpha, best_eq = math.inf, np.zeros(d), 0.0, np.zeros(n), 0.0
-    # the sign pattern of the last full check, and the patterns finished
-    pattern, finished = None, set()
+    # the sign pattern of b on the columns of the last full check and of the
+    # last working-set check, and the patterns finished
+    last, finished = {True: None, False: None}, set()
 
     def model(b: np.ndarray, b0: float, alpha: np.ndarray, gap: float) -> FittedModel:
         return FittedModel(b=b.copy(), b0=b0, alpha=alpha, lam=lam, weights=w, gap=gap,
@@ -745,19 +782,14 @@ def _fit_column(
     while True:
         if ((iterations - first_check) % _CHECK_EVERY == 0
                 or iterations >= config.max_iterations):
+            full = xa is x
             alpha, corr, shrink, gap, eq_residual, certified = col.check(
-                xa, t0 + b0, obj_curr, bounds if xa is x else None)
+                xa, t0 + b0, obj_curr, bounds if full else None)
             out_of_iterations = iterations >= config.max_iterations
-            if xa is not x:
-                if out_of_iterations or certified or gap <= _REJOIN_RATIO * best_gap:
-                    # every feature rejoins, and the check runs again on the full matrix
-                    b_full, v_full = np.zeros(d), np.zeros(d)
-                    b_full[cols], v_full[cols] = b, v
-                    b, v, xa, cols, left = b_full, v_full, x, every, cols
-                    t0, t0_v = _times_support(x, b), _times_support(x, v)
-                    obj_curr = col.objective(t0 + b0, b)
-                    continue
-            else:
+            pattern = (cols.tobytes(), np.sign(b).tobytes())
+            repeated, last[full] = last[full] == pattern, pattern
+            if full:
+                read = 0
                 if gap < best_gap:
                     best_gap, best_b, best_b0, best_alpha, best_eq = gap, b, b0, alpha, eq_residual
                 if left is not None:
@@ -771,37 +803,58 @@ def _fit_column(
                     left = None
                 if certified:
                     return model(b, b0, alpha, gap)
-                # two full checks in a row on one sign pattern: the pattern's
-                # minimizer takes the iterate's place, once per pattern, and
-                # this check runs again on it
-                pattern_prev, pattern = pattern, np.sign(b).tobytes()
-                if pattern == pattern_prev and pattern not in finished:
-                    finished.add(pattern)
-                    finish = _pattern_finish(col, b, b0, obj_curr)
-                    if finish is not None:
-                        b, b0, t0, obj_curr = finish
-                        v, t0_v, tk = b, t0, 1.0
-                        continue
-                if out_of_iterations:
-                    gap_tol = col.gap_tol
-                    if not best_gap <= gap_tol:
-                        return failed(f"gap {best_gap:.3e} > tolerance {gap_tol:.3e} "
-                                      f"after {iterations} iterations")
-                    return failed(f"dual equality residual {best_eq:.3e} > tolerance "
-                                  f"{col.eq_bound(w, best_alpha):.3e} after {iterations} "
-                                  f"iterations (gap {best_gap:.3e} within tolerance "
-                                  f"{gap_tol:.3e})")
-                if screening:
-                    # every column the Gap Safe rule below may keep gets its
-                    # computed correlation; the rest stay below lam on their bound
-                    radius = math.sqrt(2.0 * nu * gap)
+            else:
+                # a reduced problem rejoins the full one at once when it
+                # certifies or runs out of iterations.  When its gap falls to
+                # _REJOIN_RATIO of the best full-matrix gap, it rejoins once the
+                # iterations since the last full check have read as much of x
+                # as the full check will, and finishes on its pattern meanwhile
+                due = gap <= _REJOIN_RATIO * best_gap
+                rejoin = certified or out_of_iterations or due and read >= x.nbytes
+                repeated = repeated and due and not (certified or out_of_iterations)
+            # two full checks in a row, or two checks of one working set whose
+            # rejoin is due, on one sign pattern: the pattern's minimizer takes
+            # the iterate's place, once per pattern, and this check runs again
+            # on it
+            if repeated and pattern not in finished:
+                finished.add(pattern)
+                finish = _pattern_finish(col, xa, b, b0, obj_curr)
+                if finish is not None:
+                    b, b0, t0, obj_curr = finish
+                    v, t0_v, tk = b, t0, 1.0
+                    continue
+            if not full:
+                if rejoin:
+                    # every feature rejoins, and the check runs again on the full matrix
+                    b_full, v_full = np.zeros(d), np.zeros(d)
+                    b_full[cols], v_full[cols] = b, v
+                    b, v, xa, cols, left = b_full, v_full, x, every, cols
+                    t0, t0_v = _times_support(x, b), _times_support(x, v)
+                    obj_curr = col.objective(t0 + b0, b)
+                    continue
+            elif out_of_iterations:
+                gap_tol = col.gap_tol
+                if not best_gap <= gap_tol:
+                    return failed(f"gap {best_gap:.3e} > tolerance {gap_tol:.3e} "
+                                  f"after {iterations} iterations")
+                return failed(f"dual equality residual {best_eq:.3e} > tolerance "
+                              f"{col.eq_bound(w, best_alpha):.3e} after {iterations} "
+                              f"iterations (gap {best_gap:.3e} within tolerance "
+                              f"{gap_tol:.3e})")
+            elif screening:
+                # every column the Gap Safe rule below may keep gets its
+                # computed correlation, except at a cold fit's first check:
+                # there every bound is a product at b = 0 or within its
+                # rounding allowance of one.  The rest stay below lam.
+                radius = math.sqrt(2.0 * nu * gap)
+                if iterations:
                     exact = bounds.refine(corr + norms * radius >= lam)
                     corr[exact] = bounds.ub[exact] * shrink
-                    safe = _gap_safe_survivors(cols, corr, norms, radius, lam, b, v)
-                    kept = _prioritized(safe, corr, norms, lam, b, v, least)
-                    if 2 * kept.size <= d:
-                        b, v, cols = b[kept], v[kept], kept
-                        xa = x[:, cols]
+                safe = _gap_safe_survivors(cols, corr, norms, radius, lam, b, v)
+                kept = _prioritized(safe, corr, norms, lam, b, v, least)
+                if 2 * kept.size <= d:
+                    b, v, cols = b[kept], v[kept], kept
+                    xa = x[:, cols]
 
         b0_v, margins_v, sig_v = intercept(t0_v, b0)
         f_v = col.losses(margins_v)
@@ -835,3 +888,4 @@ def _fit_column(
         tk, obj_curr = t_next, obj_new
         lip = max(l_min, lip * 0.95)
         iterations += 1
+        read += 2 * xa.nbytes

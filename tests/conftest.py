@@ -63,7 +63,7 @@ def without_finish(monkeypatch):
     every check and only the proximal gradient iterations move it."""
     from drfs import solver
 
-    monkeypatch.setattr(solver, "_pattern_finish", lambda col, b, b0, obj: None)
+    monkeypatch.setattr(solver, "_pattern_finish", lambda col, x, b, b0, obj: None)
 
 
 def screen_setup(dataset, kind, lambda_ratio, v, **config_kwargs):

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from drfs import (
     Dataset,
+    LossKind,
     ParseError,
     Task,
     parse_csv,
@@ -50,6 +51,18 @@ class TestDatasetValidation:
         with pytest.raises(ValueError, match="read-only"):
             ds.x[0, 0] = 2.0
         x[0, 0] = 2.0  # the caller's own array stays writable
+
+    def test_cached_statistics_are_read_only(self):
+        """A write to a cached statistic would move every later bound and fit
+        of the dataset: lower column sums would make removals unsafe."""
+        rng = np.random.default_rng(3)
+        ds = Dataset(x=rng.standard_normal((10, 3)), y=np.repeat([1.0, -1.0], 5), task=Task.BINARY)
+        caches = [ds._x_sq_half_sums, ds._x_sq_sums]
+        for kind in LossKind:
+            caches.extend(ds._unit_intercept_only(kind))
+        for cache in caches:
+            with pytest.raises(ValueError, match="read-only"):
+                cache[...] = 0.0
 
 
 class TestParseLibsvm:

@@ -15,6 +15,7 @@ from drfs import (
     LossKind,
     Task,
     dg_radius,
+    dual_from_margin,
     dual_objective,
     duality_gap,
     fit_weighted_erm,
@@ -442,7 +443,9 @@ class TestGapSafeWorkingSet:
     def test_screened_fit_certifies_and_drops_only_zeros(self, seed, kind, wide, ratio, delta,
                                                          least):
         """Every example runs a prioritized working set smaller than d: the
-        cold start's check compacts to at most `least` columns, below d / 2."""
+        cold start's check compacts to at most `least` columns, below d / 2.
+        At unit weights (delta = 0) that check starts from the intercept-only
+        correlations and multiplies fewer than d columns."""
         n, d = (12, 30) if wide else (40, 12)
         ds = _random_problem(seed, n, d, kind)
         w = np.random.default_rng(seed + 1).uniform(1.0 - delta, 1.0 + delta, size=n)
@@ -459,8 +462,10 @@ class TestGapSafeWorkingSet:
             # duality_gap takes the support products the fit took
             _assert_certified_on_full_matrix(ds, w, kind, lam, model, gap_tol)
         assert min(widths) <= least < d and widths[-1] == d
-        # the first check multiplies every column, the others at most all
-        assert multiplied[0] == d and all(m <= c for m, c in zip(multiplied, widths))
+        # the first check multiplies every column unless it is seeded, the
+        # others at most all
+        assert multiplied[0] < d if np.all(w == 1.0) else multiplied[0] == d
+        assert all(m <= c for m, c in zip(multiplied, widths))
         # the rule certifies zeros of the full problem, so it sees every column
         assert all(cols.size == d for cols, _ in calls)
         # the dense x @ b sums in another order
@@ -485,13 +490,14 @@ class TestGapSafeWorkingSet:
         _record_checks(monkeypatch, widths, multiplied)
         model = fit_weighted_erm(reg40, w, SQ, lam)
         assert min(widths) < reg40.d and widths[0] == widths[-1] == reg40.d
-        # a working-set check multiplies its columns; the first full check
-        # multiplies every column, and a later one skips the columns whose
-        # correlation bound stays below lam
+        # a working-set check multiplies its columns; a full check skips the
+        # columns whose correlation bound stays below the largest correlation
+        # or lam, the first one too, whose bounds start at lambda_max's
+        # correlations
         full = [m for m, c in zip(multiplied, widths) if c == reg40.d]
         assert [m for m, c in zip(multiplied, widths) if c < reg40.d] == [
             c for c in widths if c < reg40.d]
-        assert full[0] == reg40.d and min(full) < reg40.d
+        assert full[0] < reg40.d
         assert len(calls) == widths.count(reg40.d) - 1  # every full check but the last
         assert all(cols.size == reg40.d for cols, _ in calls)
         _assert_certified_on_full_matrix(reg40, w, SQ, lam, model,
@@ -642,7 +648,8 @@ class TestLazyChecks:
     def test_skipped_columns_are_bounded_and_decide_nothing(self, seed, kind, n, d, batch,
                                                             far_start, ratio, delta, least):
         """Each column a check skips has a bound at least its computed
-        correlation |x_j.T (w o alpha)| and below lambda, and the fit returns
+        correlation |x_j.T (w o alpha)| and below the larger of lambda and the
+        largest correlation the check computed, and the fit returns
         what it returns when every column is multiplied.  A far-off warm start
         moves alpha a long way between checks, so the bounds grow past lambda
         and the Gap Safe survivors are multiplied after the gap is known."""
@@ -660,7 +667,7 @@ class TestLazyChecks:
             if bounds is not None:
                 rows = ~bounds.exact
                 assert np.all(bounds.ub[rows] >= np.abs(x.T @ bounds.wa)[rows])
-                assert np.all(bounds.ub[rows] < lam_)
+                assert np.all(bounds.ub[rows] < max(lam_, bounds.ub[bounds.exact].max(initial=0)))
                 skipped.append(int(rows.sum()))
             return out
 
@@ -676,6 +683,48 @@ class TestLazyChecks:
         for got, want in zip(_results(lazy), _results(dense), strict=True):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([SQ, LOG]),
+        n=st.integers(4, 40),
+        d=st.integers(3, 30),
+        ratio=st.floats(0.05, 0.9),
+    )
+    def test_seeded_check_decides_as_a_dense_one(self, seed, kind, n, d, ratio):
+        """The first check of a cold unit-weight fit starts its bounds at the
+        intercept-only correlations lambda_max reads.  Its dual point, shrink,
+        gap and equality residual are bit for bit those of a dense check at
+        the same margins, and every column it skips has a bound at least its
+        computed correlation |x_j.T (w o alpha)|."""
+        ds = _random_problem(seed, n, d, kind)
+        w = np.ones(n)
+        lam = ratio * lambda_max(ds, w, kind)
+        check, seeded = solver._WeightColumns.check, []
+
+        def comparing(col, xa, margins, obj, bounds=None, cols=...):
+            anchored = bounds is not None and bounds.alpha is ds._unit_intercept_only(kind)[0]
+            out = check(col, xa, margins, obj, bounds, cols)
+            if anchored:
+                dense = check(col, xa, margins, obj)
+                (alpha, corr, *decided), (alpha_d, corr_d, *decided_d) = out, dense
+                np.testing.assert_array_equal(alpha, alpha_d)
+                assert decided == decided_d
+                np.testing.assert_array_equal(corr[bounds.exact], corr_d[bounds.exact])
+                skipped = ~bounds.exact
+                assert np.all(bounds.ub[skipped] >= np.abs(xa.T @ bounds.wa)[skipped])
+                seeded.append(int(skipped.sum()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)  # x counts as large
+            mp.setattr(solver._WeightColumns, "check", comparing)
+            try:
+                fit_weighted_erm(ds, w, kind, lam, FitConfig(max_iterations=5))
+            except ConvergenceError:  # only the first check matters here
+                pass
+        assert len(seeded) == 1 and (seeded[0] > 0 or d <= 5)  # one group to multiply
 
     def test_multiplies_only_undecided_groups(self):
         """The chooser takes whole aligned groups of four columns, and their
@@ -697,21 +746,39 @@ class TestLazyChecks:
         np.testing.assert_array_equal(got, (x.T @ v)[cols])
         np.testing.assert_array_equal(solver._columns_times(x, cols[:0], v), np.empty(0))
 
+    @pytest.mark.parametrize("n", [7, 40, 1100])
+    def test_last_single_column_rounds_as_the_full_product(self, n):
+        """With d mod 4 = 1, the last column alone would be multiplied as a
+        dot product, which rounded unlike x.T @ v in 147 of 4662 groups of
+        small problems; it comes with the aligned group before it."""
+        rng = np.random.default_rng(n)
+        for d in (5, 9, 13, 29):
+            x = np.asfortranarray(rng.standard_normal((n, d)))
+            v = rng.standard_normal(n)
+            undecided = np.zeros(d, dtype=bool)
+            undecided[-1] = True
+            cols = solver._multiplied_columns(undecided)
+            np.testing.assert_array_equal(cols, np.arange(d - 5, d))
+            np.testing.assert_array_equal(solver._columns_times(x, cols, v), (x.T @ v)[cols])
+
     def test_large_fit_skips_columns(self):
-        """A default fit on x over _GAP_SAFE_MIN_BYTES multiplies every column
-        at its first full check, and few at its last, near the optimum."""
+        """A default cold fit on x over _GAP_SAFE_MIN_BYTES multiplies few
+        columns at its last full check, near the optimum.  At its first it
+        multiplies fewer than d at unit weights, where its bounds start at
+        lambda_max's correlations, and every column at other weights."""
         n, d = 1100, 120
         ds = _random_problem(5, n, d, SQ)
-        w = np.ones(n)
-        widths: list = []
-        multiplied: list = []
-        with pytest.MonkeyPatch.context() as mp:
-            _record_checks(mp, widths, multiplied)
-            model = fit_weighted_erm(ds, w, SQ, 0.2 * lambda_max(ds, w, SQ))
-        full = [m for m, c in zip(multiplied, widths) if c == d]
-        assert full[0] == d and 2 * full[-1] < d
-        _assert_certified_on_full_matrix(ds, w, SQ, model.lam, model,
-                                         1e-9 * objective_scale(ds, w, SQ))
+        for w in (np.ones(n), np.linspace(0.8, 1.2, n)):
+            widths: list = []
+            multiplied: list = []
+            with pytest.MonkeyPatch.context() as mp:
+                _record_checks(mp, widths, multiplied)
+                model = fit_weighted_erm(ds, w, SQ, 0.2 * lambda_max(ds, w, SQ))
+            full = [m for m, c in zip(multiplied, widths) if c == d]
+            assert full[0] < d if np.all(w == 1.0) else full[0] == d
+            assert 2 * full[-1] < d
+            _assert_certified_on_full_matrix(ds, w, SQ, model.lam, model,
+                                             1e-9 * objective_scale(ds, w, SQ))
 
 
 class TestTimesSupport:
@@ -1035,6 +1102,93 @@ def test_unit_weight_fit_reads_cached_square_sums(monkeypatch):
     warm = fit_weighted_erm(other, np.ones((other.n, 2)), SQ, lam, warm_start=(first.b, first.b0))
     assert [model.iterations for model in warm] == [1, 1]
     assert len(calls) == 3
+
+
+def _closed_form_lambda_max(ds: Dataset, w: np.ndarray, kind: LossKind) -> float:
+    """lambda_max written out: the sup-norm of x.T (w o alpha) at the dual
+    point of the analytic intercept-only fit."""
+    y = ds.y
+    if kind is SQ:
+        b0 = float(np.dot(w, y) / np.sum(w))
+    else:
+        b0 = math.log(float(np.sum(w[y == 1.0]))) - math.log(float(np.sum(w[y == -1.0])))
+    return float(np.max(np.abs(ds.x.T @ (w * dual_from_margin(kind, y, b0)))))
+
+
+def test_unit_weight_fits_share_lambda_max_product(monkeypatch):
+    """lambda_max at unit weights and every cold unit-weight fit with
+    correlation bounds share one intercept-only product x.T @ alpha per
+    dataset and loss, and lambda_max is its closed form bit for bit at any
+    weights.  Fits at other weights and warm fits do not read it."""
+    computed, read = [], []
+    intercept_only, unit_intercept_only = data._intercept_only, Dataset._unit_intercept_only
+
+    def computing(x, y, w, kind):
+        computed.append(kind)
+        return intercept_only(x, y, w, kind)
+
+    def reading(self, kind):
+        read.append(kind)
+        return unit_intercept_only(self, kind)
+
+    monkeypatch.setattr(data, "_intercept_only", computing)
+    monkeypatch.setattr(solver, "_intercept_only", computing)
+    monkeypatch.setattr(Dataset, "_unit_intercept_only", reading)
+    monkeypatch.setattr(solver, "_GAP_SAFE_MIN_BYTES", 0)  # every fit has bounds
+    ds = _random_problem(6, 30, 8, LOG)
+    ones, shifted = np.ones(ds.n), np.linspace(0.5, 1.5, ds.n)
+    for kind in (LOG, SQ):
+        lam_max = lambda_max(ds, ones, kind)
+        assert lam_max == _closed_form_lambda_max(ds, ones, kind)
+        first = fit_weighted_erm(ds, ones, kind, 0.3 * lam_max)
+        fit_weighted_erm(ds, ones, kind, 0.3 * lam_max)
+        assert lambda_max(ds, ones, kind) == lam_max
+        assert read.count(kind) == 4 and computed.count(kind) == 1
+        fit_weighted_erm(ds, shifted, kind, 0.3 * lam_max)
+        fit_weighted_erm(ds, ones, kind, 0.3 * lam_max, warm_start=(first.b, first.b0))
+        assert read.count(kind) == 4 and computed.count(kind) == 1
+        assert lambda_max(ds, shifted, kind) == _closed_form_lambda_max(ds, shifted, kind)
+        assert read.count(kind) == 4 and computed.count(kind) == 2  # a product of its own
+
+
+class _CountedX(np.ndarray):
+    """A view of a dataset's x that counts its matrix products over all of
+    x: counter["full"] grows by one per np.matmul taking x or x.T whole.
+    Every view taken from it shares the counter."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.counter["full"] += sum(isinstance(a, _CountedX) and a.size == self.counter["size"]
+                                        for a in inputs)
+        inputs = [a.view(np.ndarray) if isinstance(a, _CountedX) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("kind", [SQ, LOG])
+def test_cold_fit_reads_large_x_in_full_once(kind):
+    """A cold unit-weight fit on x over _GAP_SAFE_MIN_BYTES multiplies all of
+    x once, at the full check its working set rejoins at: its first check
+    starts from lambda_max's correlations and multiplies a few columns, and
+    the iterations on the working set pay for the rejoin's check before it
+    runs.  Multiplying every column at the first check and rejoining at the
+    first gap ratio, the fit multiplied all of x twice on both problems."""
+    n, d = 1100, 120
+    ds = _random_problem(5, n, d, kind)
+    assert ds.x.nbytes >= duality._GAP_SAFE_MIN_BYTES
+    counter = {"full": 0, "size": ds.x.size}
+    x = ds.x.view(_CountedX)
+    x.counter = counter
+    object.__setattr__(ds, "x", x)
+    w = np.ones(n)
+    lam = 0.1 * lambda_max(ds, w, kind)
+    assert counter["full"] == 1
+    model = fit_weighted_erm(ds, w, kind, lam)
+    assert counter["full"] == 2
+    object.__setattr__(ds, "x", x.view(np.ndarray))
+    _assert_certified_on_full_matrix(ds, w, kind, lam, model, 1e-9 * objective_scale(ds, w, kind))
 
 
 def _polish_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:
