@@ -12,6 +12,7 @@ concave, so its optimum lies within sqrt(2 nu gap) of any feasible point
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +90,51 @@ def _times_support(x: np.ndarray, b: np.ndarray) -> np.ndarray:
         cols = rows[block]
         out += x[:, cols] @ b[cols]
     return out
+
+
+def _columns_times(x: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x[:, cols].T @ v for ascending column indices cols and a vector v (n,).
+
+    When cols holds more than half of x's columns this is the entries cols
+    of x.T @ v itself.  Otherwise each run of consecutive columns is
+    multiplied as a view of x, so no copy of x is made.  OpenBLAS's x.T @ v
+    takes the columns four at a time and the last d mod 4 by narrower
+    kernels, so runs made of whole aligned groups of four (see
+    solver._multiplied_columns) round as in x.T @ v; another BLAS may
+    differ from it in the last bits.
+    """
+    if 2 * cols.size > x.shape[1]:
+        return (x.T @ v)[cols]
+    out = np.empty(cols.size)
+    starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1).tolist()
+    for lo, hi in zip(starts, starts[1:] + [cols.size]):
+        out[lo:hi] = x[:, cols[lo]:cols[hi - 1] + 1].T @ v
+    return out
+
+
+class _Correlations(NamedTuple):
+    """|x_j.T v| (d,) for each column j of a matrix x at a vector v (n,),
+    NaN where unknown, with a copy of v, so that a reader can tell whether
+    they are still of its v."""
+
+    v: np.ndarray
+    values: np.ndarray
+
+
+def _correlations_at(x: np.ndarray, v: np.ndarray, known: _Correlations | None) -> _Correlations:
+    """|x.T @ v| for a matrix x and a vector v (n,), read-only: the entries
+    known holds for v, where known was computed on this x, and every other
+    column multiplied with _columns_times; all of them, which is then
+    x.T @ v itself, when known is None or of another v."""
+    if known is None or not np.array_equal(known.v, v):
+        known = _Correlations(v.copy(), np.full(x.shape[1], np.nan))
+    cols = np.flatnonzero(np.isnan(known.values))
+    if not cols.size:
+        return known
+    values = known.values.copy()
+    values[cols] = np.abs(_columns_times(x, cols, v))
+    values.flags.writeable = False
+    return known._replace(values=values)
 
 
 def primal_objective(dataset: Dataset, weights, kind: LossKind, lam: float, b, b0: float) -> float:

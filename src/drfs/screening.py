@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .duality import _checked_gap, _dual_value, _into_domain, _penalized, _times_support, rho_vector
+from .duality import (_checked_gap, _correlations_at, _dual_value, _into_domain, _penalized,
+                      _times_support, rho_vector)
 from .losses import LossKind, feasibility_q, loss_value, nu_constant
 from .solver import FittedModel
 from .uncertainty import WeightBox, _pair_half_sums, contains, max_linear, v_from_delta
@@ -33,7 +34,8 @@ ZERO_REFERENCE_BAND = 1e-10
 
 @dataclass(frozen=True)
 class ReferencePair:
-    """Uniform-weight solution plus the dual point reused across all shifts."""
+    """Uniform-weight solution plus the dual point reused across all shifts,
+    with its correlations |x.T @ alpha_star| (d,), read-only."""
 
     b: np.ndarray
     b0: float
@@ -45,6 +47,7 @@ class ReferencePair:
     y: np.ndarray
     losses_at_optimum: np.ndarray
     gap: float
+    correlations: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,17 @@ class ScreeningReport:
 def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> ReferencePair:
     """Freeze the uniform-weight fit into the reference used by screen().
 
-    The model must have been fit with all weights equal to one and at the
-    same lambda that will be screened.
+    The model must have been fit on this dataset's n x d shape with all
+    weights equal to one, and at the same lambda that will be screened.  The
+    reference's correlations |x.T @ alpha_star| are the ones the model's
+    certifying gap check computed, where it kept them for this dual point;
+    the columns it did not multiply, or all of them (x.T @ alpha_star
+    itself) for a model that kept none, are multiplied here once per model,
+    and the model keeps the result for the next box.
     """
+    if model.alpha.shape + model.b.shape != dataset.x.shape:
+        raise ValueError(f"reference model was fit on {model.alpha.size}x{model.b.size} data, "
+                         f"dataset is {dataset.n}x{dataset.d}")
     if model.weights.shape != (dataset.n,) or not np.all(model.weights == 1.0):
         raise ValueError("reference model must be fit with uniform weights w = 1")
     q = feasibility_q(model.loss_kind, box.delta)
@@ -98,6 +109,7 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
     losses = np.asarray(loss_value(model.loss_kind, dataset.y, margins))
     alpha = _into_domain(model.loss_kind, dataset.y, np.array(model.alpha, copy=True),
                          "reference dual point")
+    model._correlations = _correlations_at(dataset.x, alpha, model._correlations)
     return ReferencePair(
         b=np.array(model.b, copy=True),
         b0=float(model.b0),
@@ -109,6 +121,7 @@ def build_reference(dataset: Dataset, model: FittedModel, box: WeightBox) -> Ref
         y=np.array(dataset.y, copy=True),
         losses_at_optimum=losses,
         gap=model.gap,
+        correlations=model._correlations.values,
     )
 
 
@@ -126,6 +139,30 @@ def _check_inputs(ref: ReferencePair, box: WeightBox, dataset: Dataset) -> None:
                          f"dataset is {dataset.n}x{dataset.d}")
 
 
+def _at_weight(ref: ReferencePair, dataset: Dataset, box: WeightBox,
+               w: np.ndarray) -> tuple[np.ndarray, float]:
+    """w o alpha_hat and the gap at the weights w (n,) for ub_for_weight,
+    alpha_hat = q alpha_star / w, after checking the inputs and that w is in
+    the box.  Kept on ref for the last dataset, box and weight vector it was
+    asked for, which are compared by identity, and by shape and bytes for
+    the weights, so that a criterion looping over features at one weight
+    vector computes them once."""
+    weights = (w.shape, w.tobytes())
+    last = ref.__dict__.get("_at_weight")
+    if last is not None and last[0] is dataset and last[1] is box and last[2] == weights:
+        return last[3]
+    _check_inputs(ref, box, dataset)
+    if not contains(box, w):
+        raise ValueError("weight vector is not in the box")
+    alpha_hat = _into_domain(ref.loss_kind, ref.y, ref.q * ref.alpha_star / w,
+                             "rescaled dual point")
+    primal = _penalized(w, ref.losses_at_optimum, ref.lam, ref.b)
+    gap = _checked_gap(primal, _dual_value(ref.loss_kind, ref.y, w, alpha_hat))
+    result = w * alpha_hat, gap
+    ref.__dict__["_at_weight"] = dataset, box, weights, result
+    return result
+
+
 def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBox) -> float:
     """Single-environment bound at a concrete weight vector.
 
@@ -135,20 +172,15 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
     and the dual one at q * alpha / w, clamped as duality_gap clamps.
     Dominated by the screen() bound over the box in exact arithmetic; in
     floating point it can lie above it by rounding (at delta = 0, by 9.4e-9
-    on the bound at w = 1).
+    on the bound at w = 1).  Calls in a row at one weight vector share the
+    work that does not depend on j.
     """
     if not 0 <= j < dataset.d:
         raise IndexError(f"feature index {j} out of range for d={dataset.d}")
-    _check_inputs(ref, box, dataset)
     w = np.asarray(w, dtype=float)
-    if not contains(box, w):
-        raise ValueError("weight vector is not in the box")
-    alpha_hat = _into_domain(ref.loss_kind, ref.y, ref.q * ref.alpha_star / w,
-                             "rescaled dual point")
-    primal = _penalized(w, ref.losses_at_optimum, ref.lam, ref.b)
-    gap = _checked_gap(primal, _dual_value(ref.loss_kind, ref.y, w, alpha_hat))
+    wa, gap = _at_weight(ref, dataset, box, w)
     col = dataset.x[:, j]
-    first = abs(float(np.dot(w * alpha_hat, col)))
+    first = abs(float(np.dot(wa, col)))
     norm_sq = float(np.dot(w, col * col))
     return first + math.sqrt(norm_sq * (2.0 * nu_constant(ref.loss_kind)) * gap)
 
@@ -156,10 +188,10 @@ def ub_for_weight(j: int, w, ref: ReferencePair, dataset: Dataset, box: WeightBo
 def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningReport:
     """Bound every feature and mark the ones that can never become active.
 
-    Work is O(n d) for the correlations x.T @ alpha and O(n) for the
-    worst-case gap.  The column term needs the half-sums of x*x, which each
-    dataset computes on its first screen, in O(n d), and keeps; every later
-    screen of it, at any delta, adds O(d).
+    Work is O(n) for the worst-case gap and O(d) for the bounds: the
+    correlation term reads the reference's correlations, and the column
+    term the half-sums of x*x, which each dataset computes on its first
+    screen, in O(n d), and keeps for every later screen of it, at any delta.
 
     Removal uses the strict rule bounds_j < lambda * (1 - 1e-12), except at
     the all-removed endpoint: when delta = 0 and the reference coefficient
@@ -173,7 +205,7 @@ def screen(dataset: Dataset, ref: ReferencePair, box: WeightBox) -> ScreeningRep
     _check_inputs(ref, box, dataset)
     nu = nu_constant(ref.loss_kind)
     lam = ref.lam
-    first = ref.q * np.abs(dataset.x.T @ ref.alpha_star)
+    first = ref.q * ref.correlations
     # worst-case duality gap over the box: the rho maximization plus the
     # regularizer term, clamped at zero against rounding
     gbar = max(0.0, max_linear(rho_vector(ref), box) + lam * float(np.sum(np.abs(ref.b))))

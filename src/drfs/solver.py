@@ -13,13 +13,14 @@ the gap, which is also what makes the result usable for screening.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, _intercept_only
 from .duality import (_EQ_ROUNDING_PER_ROW, _GAP_SAFE_MIN_BYTES, _check_lambda, _check_weights,
-                      _clamped_gap, _dual_value, _penalized, _repair_from_margins, _times_support)
+                      _clamped_gap, _columns_times, _Correlations, _dual_value, _penalized,
+                      _repair_from_margins, _times_support)
 from .losses import (LossKind, _check_labels, _derivative, _loss, _sigmoid_neg, loss_value,
                      nu_constant)
 from .uncertainty import _column_square_sums
@@ -75,6 +76,18 @@ class FitConfig:
 
 @dataclass
 class FittedModel:
+    """A fit and the feasible dual point alpha its gap was certified at.
+
+    A fit certified by _fit_column also keeps the correlations
+    |x.T (weights o alpha)| of its certifying check, for build_reference:
+    known, up to the rounding of the dual point's shrink, where the check
+    multiplied a column, and unknown where its correlation bounds only
+    bounded one.  build_reference completes them once and keeps the result
+    here, so every box screened from one model shares a single product of
+    x.  dataclasses.replace leaves them behind, and they are read only for
+    the dual point they are of.
+    """
+
     b: np.ndarray
     b0: float
     alpha: np.ndarray
@@ -83,6 +96,8 @@ class FittedModel:
     gap: float
     loss_kind: LossKind
     iterations: int = 0
+    _correlations: _Correlations | None = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     @property
     def support(self) -> np.ndarray:
@@ -106,26 +121,6 @@ def objective_scale(dataset: Dataset, weights, kind: LossKind) -> float:
     w = _check_weights(weights, (dataset.n,))
     zero_margins = np.zeros(dataset.n)
     return max(1.0, float(np.dot(w, loss_value(kind, dataset.y, zero_margins))))
-
-
-def _columns_times(x: np.ndarray, cols: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """x[:, cols].T @ v for ascending column indices cols and a vector v (n,).
-
-    When cols holds more than half of x's columns this is the entries cols
-    of x.T @ v itself.  Otherwise each run of consecutive columns is
-    multiplied as a view of x, so no copy of x is made.  OpenBLAS's x.T @ v
-    takes the columns four at a time and the last d mod 4 by narrower
-    kernels, so runs made of whole aligned groups of four (see
-    _multiplied_columns) round as in x.T @ v; another BLAS may differ from
-    it in the last bits.
-    """
-    if 2 * cols.size > x.shape[1]:
-        return (x.T @ v)[cols]
-    out = np.empty(cols.size)
-    starts = np.flatnonzero(np.diff(cols, prepend=-2) != 1).tolist()
-    for lo, hi in zip(starts, starts[1:] + [cols.size]):
-        out[lo:hi] = x[:, cols[lo]:cols[hi - 1] + 1].T @ v
-    return out
 
 
 def lambda_max(dataset: Dataset, weights, kind: LossKind) -> float:
@@ -802,7 +797,11 @@ def _fit_column(
                         v, t0_v, tk = b, t0, 1.0
                     left = None
                 if certified:
-                    return model(b, b0, alpha, gap)
+                    # what the check multiplied is known, what it bounded is not
+                    fitted = model(b, b0, alpha, gap)
+                    known = True if bounds is None else bounds.exact
+                    fitted._correlations = _Correlations(w * alpha, np.where(known, corr, np.nan))
+                    return fitted
             else:
                 # a reduced problem rejoins the full one at once when it
                 # certifies or runs out of iterations.  When its gap falls to

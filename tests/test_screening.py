@@ -16,6 +16,7 @@ from drfs import (
     WeightBox,
     build_reference,
     conjugate_neg,
+    delta_from_v,
     dg_radius,
     dual_objective,
     duality_gap,
@@ -31,6 +32,7 @@ from drfs import (
     synth,
 )
 from conftest import screen_setup, uniform_fit
+from drfs import duality
 from drfs.duality import rho_vector
 from drfs.solver import objective_scale
 from drfs.uncertainty import enumerate_corners, worst_case_weights
@@ -76,6 +78,80 @@ class TestBuildReference:
         model = fit_weighted_erm(reg40, w, SQ, lam)
         with pytest.raises(ValueError, match="uniform"):
             build_reference(reg40, model, WeightBox(reg40.n, 0.1))
+
+    def test_rejects_model_of_more_instances(self, reg40):
+        """A dataset with fewer rows than the model's fit is named by shape,
+        not as a weight problem."""
+        model = uniform_fit(reg40, SQ, 0.3 * lambda_max(reg40, np.ones(reg40.n), SQ))
+        fewer = Dataset(x=reg40.x[:30], y=reg40.y[:30], task=reg40.task)
+        with pytest.raises(ValueError, match="^reference model was fit on 40x15 data, "
+                                             "dataset is 30x15$"):
+            build_reference(fewer, model, WeightBox(fewer.n, 0.1))
+
+    def test_rejects_model_of_more_features(self, reg40):
+        """A dataset with fewer features than the model's fit is refused
+        before any product with its x."""
+        model = uniform_fit(reg40, SQ, 0.3 * lambda_max(reg40, np.ones(reg40.n), SQ))
+        narrower = Dataset(x=reg40.x[:, :10], y=reg40.y, task=reg40.task)
+        with pytest.raises(ValueError, match="^reference model was fit on 40x15 data, "
+                                             "dataset is 40x10$"):
+            build_reference(narrower, model, WeightBox(reg40.n, 0.1))
+
+    @pytest.mark.parametrize("n,d", [(40, 15), (1100, 120)])
+    def test_replaced_dual_point_screens_as_a_fresh_product(self, n, d):
+        """The correlations a fit keeps are read only for its own dual point:
+        a model built by dataclasses.replace, one whose alpha was assigned
+        (here one _into_domain clips) and the best iterate of a
+        ConvergenceError each get x.T @ alpha_star itself, bit for bit, on
+        both sides of the solver's 1 MiB threshold."""
+        dataset = standardize(synth(Task.BINARY, n, d, 3, 0.5, 5)[0])[0]
+        w = np.ones(n)
+        lam = 0.1 * lambda_max(dataset, w, LOG)
+        model = fit_weighted_erm(dataset, w, LOG, lam)
+        box = WeightBox(n, delta_from_v(0.1, n))
+        halved = dataclasses.replace(model, alpha=0.5 * model.alpha)
+        same = dataclasses.replace(model, alpha=model.alpha)
+        clipped = dataclasses.replace(model)
+        clipped._correlations = model._correlations
+        clipped.alpha = model.alpha.copy()
+        top = int(np.argmax(dataset.y * model.alpha))
+        clipped.alpha[top] = dataset.y[top] * (1.0 + 1e-12)
+        with pytest.raises(ConvergenceError) as failed:
+            fit_weighted_erm(dataset, w, LOG, lam, FitConfig(max_iterations=1))
+        for other in (halved, same, clipped, failed.value.model):
+            ref = build_reference(dataset, other, box)
+            np.testing.assert_array_equal(ref.correlations, np.abs(dataset.x.T @ ref.alpha_star))
+            fresh = dataclasses.replace(ref, correlations=np.abs(dataset.x.T @ ref.alpha_star))
+            np.testing.assert_array_equal(screen(dataset, ref, box).bounds,
+                                          screen(dataset, fresh, box).bounds)
+        assert clipped.alpha[top] != build_reference(dataset, clipped, box).alpha_star[top]
+
+
+class TestReferenceCorrelations:
+    """screen's correlation term reads the correlations the reference fit's
+    certifying check computed, completed once per model by build_reference."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from([SQ, LOG]),
+           large=st.booleans(), n=st.integers(4, 40), d=st.integers(1, 12),
+           wide=st.integers(120, 130), ratio=st.floats(0.05, 1.0), delta=st.floats(0.0, 0.9))
+    def test_first_term_matches_a_fresh_product(self, seed, kind, large, n, d, wide, ratio,
+                                                delta):
+        """On both sides of the solver's 1 MiB threshold (n x d, or 1100 x
+        wide), q |x_j.T alpha*| is within 1e-13 of itself computed afresh,
+        relative, past the rounding of the two products where a correlation
+        cancels: the fit multiplied alpha* before the shrink that made it
+        alpha*, so each product rounds by up to (n + 2) eps
+        sum_i |x_ij alpha*_i| (Higham, ch. 3)."""
+        n, d = (1100, wide) if large else (n, d)
+        dataset, _, _, _, ref, report = _drawn_screen(seed, kind, n, d, ratio, delta)
+        assert (dataset.x.nbytes >= duality._GAP_SAFE_MIN_BYTES) == large
+        fresh = ref.q * np.abs(dataset.x.T @ ref.alpha_star)
+        first = ref.q * ref.correlations
+        rounding = 2 * (n + 2) * np.finfo(float).eps * ref.q * (np.abs(dataset.x).T
+                                                                @ np.abs(ref.alpha_star))
+        assert np.all(np.abs(first - fresh) <= 1e-13 * fresh + rounding)
+        assert np.all(report.bounds >= first)
 
 
 class TestRhoVector:
@@ -224,6 +300,29 @@ class TestUbForWeight:
             alpha_hat = ref.q * ref.alpha_star / w
             got = np.abs(reg40.x.T @ (w * alpha_hat))
             np.testing.assert_allclose(got, expect, rtol=1e-12)
+
+    def test_alternating_references_and_weights_get_fresh_values(self, reg40):
+        """ub_for_weight keeps its weight-dependent work for the last
+        dataset, box and weights asked of a reference: alternating two
+        references and two weight vectors, one of them changed in place,
+        every bound is the one a fresh reference gives."""
+        lam_max = lambda_max(reg40, np.ones(reg40.n), SQ)
+        box = WeightBox(reg40.n, delta_from_v(1.0, reg40.n))
+        refs = [build_reference(reg40, uniform_fit(reg40, SQ, r * lam_max), box)
+                for r in (0.1, 0.3)]
+        rng = np.random.default_rng(3)
+        weights = [sample_feasible(box, rng, "corner"), sample_feasible(box, rng, "interior")]
+        expect = {(r, k, j): ub_for_weight(j, weights[k], dataclasses.replace(refs[r]), reg40, box)
+                  for r in (0, 1) for k in (0, 1) for j in (0, 7)}
+        assert len(set(expect.values())) == len(expect)
+        moving = weights[0].copy()
+        for _ in range(2):
+            for k in (0, 1):
+                moving[:] = weights[k]
+                for r in (0, 1):
+                    for j in (0, 7):
+                        assert ub_for_weight(j, weights[k], refs[r], reg40, box) == expect[r, k, j]
+                        assert ub_for_weight(j, moving, refs[r], reg40, box) == expect[r, k, j]
 
     def test_rejects_outside_weights(self, reg40):
         _, _, box, ref, _ = screen_setup(reg40, SQ, 0.2, 0.1)

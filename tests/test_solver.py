@@ -14,6 +14,9 @@ from drfs import (
     FitConfig,
     LossKind,
     Task,
+    WeightBox,
+    build_reference,
+    delta_from_v,
     dg_radius,
     dual_from_margin,
     dual_objective,
@@ -23,6 +26,7 @@ from drfs import (
     primal_objective,
     recover_dual,
     sample_feasible,
+    screen,
     synth,
 )
 from drfs import data, duality, solver
@@ -1154,17 +1158,45 @@ def test_unit_weight_fits_share_lambda_max_product(monkeypatch):
 class _CountedX(np.ndarray):
     """A view of a dataset's x that counts its matrix products over all of
     x: counter["full"] grows by one per np.matmul taking x or x.T whole.
-    Every view taken from it shares the counter."""
+    Where the counter holds "columns" (d,), each column of x whose row of
+    x.T a np.matmul takes, through x.T or a view of consecutive rows of it
+    (_columns_times), counts one correlation product.  Every view taken
+    from it shares the counter."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            self.counter["full"] += sum(isinstance(a, _CountedX) and a.size == self.counter["size"]
-                                        for a in inputs)
+            for a in inputs:
+                if isinstance(a, _CountedX):
+                    self.counter["full"] += a.size == self.counter["size"]
+                    if "columns" in self.counter:
+                        _count_columns(self.counter, a)
         inputs = [a.view(np.ndarray) if isinstance(a, _CountedX) else a for a in inputs]
         return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _count_columns(counter: dict, a: np.ndarray) -> None:
+    """Count the columns of the Fortran-ordered x (n, d) at counter["base"]
+    that a takes as rows of x.T: a view (k, n) with x.T's strides, whose
+    first row is column (address - base) / (8 n) of x."""
+    columns = counter["columns"]
+    n = counter["size"] // columns.size
+    if a.ndim == 2 and a.shape[1] == n and a.strides == (8 * n, 8):
+        offset = a.__array_interface__["data"][0] - counter["base"]
+        if 0 <= offset < 8 * counter["size"]:
+            columns[offset // (8 * n):][:a.shape[0]] += 1
+
+
+def _counted(ds: Dataset) -> tuple[dict, np.ndarray]:
+    """Swap ds.x for a _CountedX view of it that counts full products and
+    correlation products per column; returns the counter and the view."""
+    x = ds.x.view(_CountedX)
+    x.counter = {"full": 0, "size": x.size, "base": x.__array_interface__["data"][0],
+                 "columns": np.zeros(ds.d, dtype=int)}
+    object.__setattr__(ds, "x", x)
+    return x.counter, x
 
 
 @pytest.mark.parametrize("kind", [SQ, LOG])
@@ -1189,6 +1221,48 @@ def test_cold_fit_reads_large_x_in_full_once(kind):
     assert counter["full"] == 2
     object.__setattr__(ds, "x", x.view(np.ndarray))
     _assert_certified_on_full_matrix(ds, w, kind, lam, model, 1e-9 * objective_scale(ds, w, kind))
+
+
+_GRID_V = (0.0,) + tuple(10.0 ** (k / 2.0) for k in range(-10, 1))  # grid's 12 shifts
+
+
+@pytest.mark.parametrize("kind", [SQ, LOG])
+def test_boxes_share_the_fits_correlations(kind):
+    """build_reference reads the correlations |x.T @ alpha| the cold fit's
+    certifying check computed, multiplies the columns the check's bounds
+    skipped once per model, and screen multiplies nothing: on 1100x120 at
+    0.1 lambda_max, 12 boxes screened from one model take each column of
+    x.T at most once.  Before, each screen multiplied x.T @ alpha*."""
+    n, d = 1100, 120
+    ds = _random_problem(5, n, d, kind)
+    counter, x = _counted(ds)
+    w = np.ones(n)
+    lam = 0.1 * lambda_max(ds, w, kind)
+    model = fit_weighted_erm(ds, w, kind, lam)
+    assert counter["full"] == 2  # lambda_max's product and the fit's
+    counter["columns"][:] = 0
+    for v in _GRID_V:
+        box = WeightBox(n, delta_from_v(v, n))
+        screen(ds, build_reference(ds, model, box), box)
+    assert counter["columns"].max() <= 1
+    assert counter["full"] <= 3
+    object.__setattr__(ds, "x", x.view(np.ndarray))
+
+
+@pytest.mark.parametrize("kind", [SQ, LOG])
+def test_small_fit_leaves_screen_no_product(kind):
+    """Below _GAP_SAFE_MIN_BYTES every gap check multiplies all of x.T, so
+    the certifying one knows every correlation: 12 boxes screened from the
+    model take no column of x.T."""
+    ds = _random_problem(5, 60, 20, kind)
+    w = np.ones(ds.n)
+    model = fit_weighted_erm(ds, w, kind, 0.1 * lambda_max(ds, w, kind))
+    counter, x = _counted(ds)
+    for v in _GRID_V:
+        box = WeightBox(ds.n, delta_from_v(v, ds.n))
+        screen(ds, build_reference(ds, model, box), box)
+    assert counter["columns"].sum() == 0
+    object.__setattr__(ds, "x", x.view(np.ndarray))
 
 
 def _polish_problem(seed: int, n: int, d: int, kind: LossKind) -> Dataset:

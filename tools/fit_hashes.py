@@ -21,6 +21,9 @@ bounds of the 40x15 problems' uniform fits at lambda in {0.1, 0.3} *
 lambda_max, one line per V in {0, 0.01, 0.1, 1}.  A change to the bound's
 formula shows there as the shifts whose lines moved; at V = 0 every weight
 is 1, so the line moves only when the uniform fits or the no-shift bound do.
+The `removed` line hashes the removed masks of the same screens, all V
+together, so a change that moves the last bits of the bounds shows there
+whether any removal moved with them.
 The `ub` line hashes the bytes of the per-weight bound ub_for_weight of
 every feature at 50 weight vectors per configuration of those problems and
 V (corner and interior draws in turn, seed 5).
@@ -150,10 +153,10 @@ def verify_outcomes():
 BOUNDS_V = (0.0, 0.01, 0.1, 1.0)
 
 
-def bounds_outcomes():
-    """Per V in BOUNDS_V, the screen bounds of the 40x15 problems' uniform
+def screen_outcomes():
+    """Per V in BOUNDS_V, the screen reports of the 40x15 problems' uniform
     fits at lambda in {0.1, 0.3} * lambda_max."""
-    bounds = {v: [] for v in BOUNDS_V}
+    reports = {v: [] for v in BOUNDS_V}
     for _, dataset, kind in PROBLEMS[:2]:
         w1 = np.ones(dataset.n)
         lam_max = lambda_max(dataset, w1, kind)
@@ -161,12 +164,12 @@ def bounds_outcomes():
             model = fit_weighted_erm(dataset, w1, kind, ratio * lam_max)
             for v in BOUNDS_V:
                 box = WeightBox(dataset.n, delta_from_v(v, dataset.n))
-                bounds[v].append(screen(dataset, build_reference(dataset, model, box), box).bounds)
-    return bounds
+                reports[v].append(screen(dataset, build_reference(dataset, model, box), box))
+    return reports
 
 
 def ub_outcomes():
-    """Per configuration of bounds_outcomes, ub_for_weight of every feature
+    """Per configuration of screen_outcomes, ub_for_weight of every feature
     at 50 sampled weight vectors, corner and interior in turn."""
     for _, dataset, kind in PROBLEMS[:2]:
         w1 = np.ones(dataset.n)
@@ -248,11 +251,17 @@ def main() -> None:
     for outcome in verify_outcomes():
         outcomes.update(outcome.to_json().encode())
     print("verify", outcomes.hexdigest())
-    for v, parts in bounds_outcomes().items():
+    reports = screen_outcomes()
+    for v, parts in reports.items():
         digest = hashlib.sha256()
         for part in parts:
-            digest.update(np.asarray(part, dtype=float).tobytes())
+            digest.update(np.asarray(part.bounds, dtype=float).tobytes())
         print("bounds", v, digest.hexdigest()[:16])
+    digest = hashlib.sha256()
+    for parts in reports.values():
+        for part in parts:
+            digest.update(np.asarray(part.removed, dtype=np.int64).tobytes())
+    print("removed", digest.hexdigest())
     digest = hashlib.sha256()
     for part in ub_outcomes():
         digest.update(np.asarray(part, dtype=float).tobytes())
