@@ -240,11 +240,10 @@ def parse_libsvm(source: str | IO[str], task: Task = Task.REGRESSION) -> Dataset
 def serialize_libsvm(dataset: Dataset) -> str:
     """Inverse of parse_libsvm; emits every nonzero entry with 1-based indices."""
     lines = []
-    for i in range(dataset.n):
-        parts = [repr(float(dataset.y[i]))]
-        row = dataset.x[i]
-        for j in np.nonzero(row)[0]:
-            parts.append(f"{j + 1}:{float(row[j])!r}")
+    # zeros are left out, -0.0 among them (`if v`)
+    for label, row in zip(dataset.y.tolist(), dataset.x.tolist()):
+        parts = [repr(label)]
+        parts.extend(f"{j}:{v!r}" for j, v in enumerate(row, start=1) if v)
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

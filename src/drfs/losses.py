@@ -5,6 +5,10 @@ negated dual variable), the Lipschitz constant of its derivative, and the
 shrink factor that keeps a rescaled dual point feasible after instance
 weights change.  Exactly two losses exist on purpose: the curvature and
 feasibility constants are loss-specific and hard-coded.
+
+Only numpy is needed.  The logistic conjugate's entropy terms t*log(t) take
+the log of t where t > 0 and of 1.0 elsewhere, so they are exactly 0 at
+t = 0 and raise no divide warning.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy.special import xlogy
 
 
 class DomainError(ValueError):
@@ -91,7 +94,8 @@ def _conjugate_neg(kind: LossKind, y: np.ndarray, a: np.ndarray):
     p = y * a
     if np.any((p < 0.0) | (p > 1.0)):
         raise DomainError("logistic conjugate requires 0 <= y*alpha <= 1")
-    return xlogy(p, p) + xlogy(1.0 - p, 1.0 - p)
+    q = 1.0 - p
+    return p * np.log(np.where(p > 0.0, p, 1.0)) + q * np.log(np.where(q > 0.0, q, 1.0))
 
 
 def _checked(kernel, kind: LossKind, y, t):

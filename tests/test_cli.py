@@ -385,8 +385,21 @@ class TestLargeLabels:
         assert payload["violations"] == []
 
     def test_equality_failure_names_the_residual(self, large_label_file, monkeypatch, capsys):
-        """Without the rounding allowance the gap meets its tolerance and the
-        dual equality does not; the message says which."""
+        """Without the rounding allowance, and with a residual of 1e-3 forced
+        onto every repaired dual point, the gap meets its tolerance and the
+        dual equality does not; the message says which.  The forced residual
+        dwarfs what the shift's rounding leaves (about 6e-8 here, and about 0
+        under OpenBLAS's Sandybridge kernel), so the outcome holds on every
+        BLAS kernel."""
+        repair = solver._repair_from_margins
+
+        def off_by_one_thousandth(*args):
+            alpha, corr, shrink = repair(*args)
+            alpha = alpha.copy()
+            alpha[0] += 1e-3
+            return alpha, corr, shrink
+
+        monkeypatch.setattr(solver, "_repair_from_margins", off_by_one_thousandth)
         monkeypatch.setattr(solver, "_EQ_ROUNDING_PER_ROW", 0.0)
         assert main(["solve", large_label_file, "--lambda-ratio", "0.5", "--max-iter", "50"]) == 2
         err = capsys.readouterr().err

@@ -113,6 +113,17 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(again.x, ds.x)
         np.testing.assert_array_equal(again.y, ds.y)
 
+    def test_serialized_text_is_pinned(self):
+        """Labels and nonzero entries print as repr(float), 1-based; zeros,
+        -0.0 included, are left out."""
+        x = np.array([[-0.0, 5e-324, 1e308],
+                      [3.0, 0.0, -2.0],
+                      [0.0, -0.0, 0.1]])
+        ds = Dataset(x=x, y=np.array([-1.0, 2.0, 0.0]), task=Task.REGRESSION)
+        assert serialize_libsvm(ds) == ("-1.0 2:5e-324 3:1e+308\n"
+                                        "2.0 1:3.0 3:-2.0\n"
+                                        "0.0 3:0.1\n")
+
 
 class TestParseCsv:
     def test_label_by_index(self):

@@ -1,7 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drfs import (
     DomainError,
@@ -83,6 +86,29 @@ class TestConjugate:
         assert conjugate_neg(LOG, 1.0, 1.0) == 0.0
         assert conjugate_neg(LOG, 1.0, 0.0) == 0.0
         assert conjugate_neg(LOG, -1.0, -1.0) == 0.0
+
+    def test_logistic_kernel_at_endpoints_and_subnormals(self):
+        """The guarded logs give exactly 0 at p = 0 and p = 1 (the clip in
+        duality._into_domain lands there) and warn nowhere."""
+        tiny = sys.float_info.min
+        p = np.array([0.0, 1.0, 5e-324, tiny / 2, tiny, 0.5, 1.0, 0.0])
+        y = np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = conjugate_neg(LOG, y, y * p)
+        assert values[[0, 1, 6, 7]].tolist() == [0.0, 0.0, 0.0, 0.0]
+        # numpy's log and libm's may differ in the last bit; a subnormal
+        # product may then round one step of 5e-324 apart
+        expected = [v * math.log(v) for v in p[2:5]] + [math.log(0.5)]
+        assert values[2:6] == pytest.approx(expected, rel=4 * sys.float_info.epsilon, abs=5e-324)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.0, 1.0), y=st.sampled_from([-1.0, 1.0]))
+    def test_logistic_kernel_matches_math_log(self, p, y):
+        q = 1.0 - p
+        terms = [t * math.log(t) if t > 0.0 else 0.0 for t in (p, q)]
+        value = conjugate_neg(LOG, np.array([y]), np.array([y * p]))[0]
+        assert abs(value - sum(terms)) <= 4 * sys.float_info.epsilon * sum(map(abs, terms))
 
     def test_logistic_domain_error(self):
         with pytest.raises(DomainError):

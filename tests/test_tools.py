@@ -6,6 +6,7 @@ module boundaries of src/drfs are checked here too, on the source."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -116,3 +117,24 @@ def test_duality_owns_the_certificate():
     assert homes == {name: ["duality"] for name in sorted(CERTIFICATE)}
     assert not {module for module, _ in _imported(modules["duality"])} & {
         "solver", "screening", "oracle", "cli"}
+
+
+def _absolute_imports(tree: ast.Module):
+    """Top-level package of each absolute import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+
+
+def test_drfs_needs_only_numpy():
+    """Every src/drfs module imports only drfs itself, numpy or the standard
+    library: importing scipy.special alone cost every drfs process about
+    0.2 s and 22 MB of resident memory (2-CPU x86-64 VM)."""
+    modules = _drfs_modules()
+    allowed = sys.stdlib_module_names | {"drfs", "numpy"}
+    outside = [f"{name}: {top}" for name, tree in modules.items()
+               for top in _absolute_imports(tree) if top not in allowed]
+    assert outside == []
+    assert {module for tree in modules.values() for module, _ in _imported(tree)} <= set(modules)
